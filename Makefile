@@ -44,15 +44,12 @@ bench-kernels:
 		seed_qdb_overlap ref_uint8_qdb_overlap_h2000 \
 		pir_memmap_batch8_retrieve_n262144
 
-# The query-plan optimizer gates: the fused three-policy audit against
-# the same stack built from unfusable subclasses, which the planner runs
-# one policy review at a time (>= 2x), the warm plan cache against cold
-# per-query compilation (>= 1.5x), and the memmap-backed out-of-core
-# query history against its absolute baseline.
+# The query-plan gates: the warm plan cache against cold per-query
+# compilation, timed interleaved (>= 1.5x), and the memmap-backed
+# out-of-core query history against its absolute baseline.
 bench-plan:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.runner --check --output /dev/null \
-		--kernels qdb_fused_audit_h2000 ref_unfused_qdb_audit_h2000 \
-		qdb_plan_cache_batch ref_cold_plan_ask_batch \
+		--kernels qdb_plan_cache_batch ref_cold_plan_ask_batch \
 		qdb_memmap_history_overlap
 
 # Refresh the committed benchmark record after an intentional perf change;

@@ -38,11 +38,9 @@ BASELINES: dict[str, float] = {
     "mdav_n2000_k10": 50.0,
     "linkage_n600": 12.0,
     "qdb_overlap_h2000": 2.0,
-    # The ISSUE 7 plan-path kernels: the packed history on a memmap word
-    # store under a 1 MiB budget, the three-policy fused audit through
-    # ``ask`` (n=20000 rows), and the warm-plan-cache batched workload.
+    # The plan-path kernels: the packed history on a memmap word store
+    # under a 1 MiB budget and the warm-plan-cache batched workload.
     "qdb_memmap_history_overlap": 3.0,
-    "qdb_fused_audit_h2000": 9.0,
     "qdb_plan_cache_batch": 24.0,
     "qdb_sum_audit": 24.0,
     "qdb_ask_batch": 100.0,
@@ -98,17 +96,15 @@ TOLERANCE = 2.0
 # runner.py), ``*_vs_uint8`` entries compare the word-level kernel tier
 # against the frozen uint8 pipelines it replaced
 # (benchmarks/uint8_replicas.py, UINT8_PAIRS in runner.py), and the
-# ``*_vs_unfused`` / ``*_vs_cold`` entries gate the query-plan optimizer
-# (PLAN_PAIRS in runner.py): the fused multi-policy audit against the
-# same stack built unfusable (one plain check per policy), and the warm
-# plan cache against cold per-query compilation.
+# ``*_vs_cold`` entry gates the plan cache (PLAN_PAIRS in runner.py):
+# warm-cache ``ask_batch`` against cold per-query compilation, timed
+# interleaved.
 MIN_SPEEDUPS: dict[str, float] = {
     "pir_single_retrieve_n4096_vs_seed": 10.0,
     "qdb_overlap_h2000_vs_seed": 10.0,
     "qdb_sum_audit_vs_seed": 10.0,
     "pir_batch64_retrieve_n65536_vs_uint8": 4.0,
     "qdb_overlap_h2000_vs_uint8": 2.0,
-    "qdb_fused_audit_h2000_vs_unfused": 2.0,
     "qdb_plan_cache_batch_vs_cold": 1.5,
 }
 

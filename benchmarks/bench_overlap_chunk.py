@@ -20,8 +20,8 @@ early-hit column; re-run after kernel-tier changes::
 
     PYTHONPATH=src python -m benchmarks.bench_overlap_chunk
 
-and update the class default (or set ``REPRO_QDB_OVERLAP_CHUNK``) if the
-optimum moved.
+and update the class constant if the optimum moved.  The sweep sets
+``_CHUNK`` on each policy instance, shadowing the class value.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _time_review(policy: OverlapControl, history, probes,
             reason = policy.review(_QDB_DUMMY_QUERY, probe, None, history)
             if (reason is not None) != expect_refusal:
                 raise RuntimeError(
-                    f"unexpected review outcome at chunk={policy.chunk}: "
+                    f"unexpected review outcome at chunk={policy._CHUNK}: "
                     f"{reason!r}"
                 )
         best = min(best, time.perf_counter() - t0)
@@ -91,7 +91,8 @@ def main() -> int:
             history, probes = _history(h, N_RECORDS, early_hit)
             row = []
             for chunk in CHUNKS:
-                policy = OverlapControl(max_overlap, chunk=chunk)
+                policy = OverlapControl(max_overlap)
+                policy._CHUNK = chunk
                 row.append(_time_review(
                     policy, history, probes, expect_refusal=early_hit
                 ))

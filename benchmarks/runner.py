@@ -55,7 +55,6 @@ from repro.qdb import (
     Comparison,
     LogEntry,
     OverlapControl,
-    Predicate,
     Query,
     QueryHistory,
     QuerySetSizeControl,
@@ -74,7 +73,7 @@ from .baselines import (
     MIN_SPEEDUPS,
     TOLERANCE,
 )
-from .seed_replicas import SeedOverlapControl, SeedSumAuditPolicy, unfusable
+from .seed_replicas import SeedOverlapControl, SeedSumAuditPolicy
 from .uint8_replicas import Uint8BatchPIR, Uint8MaskLog, uint8_overlap_review
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json"
@@ -98,10 +97,12 @@ UINT8_PAIRS = [
 
 # (plan-path kernel, reference kernel, suffix) triples; the recorded
 # speedup ``<kernel>_vs_<suffix>`` must stay above its MIN_SPEEDUPS
-# entry under --check — the gates on the query-plan optimizer (fused
-# audit checks, plan cache).
+# entry under --check — the gate on the plan cache.  Unlike the seed and
+# uint8 pairs, these speedups are timed interleaved
+# (:func:`time_overhead_ratio`): the two kernels take a few milliseconds
+# each, and separately timed medians of them moved the ratio across its
+# floor on an unchanged tree.
 PLAN_PAIRS = [
-    ("qdb_fused_audit_h2000", "ref_unfused_qdb_audit_h2000", "unfused"),
     ("qdb_plan_cache_batch", "ref_cold_plan_ask_batch", "cold"),
 ]
 
@@ -482,83 +483,6 @@ def _qdb_sum_audit(
                     _QDB_DUMMY_QUERY, Answer(_QDB_DUMMY_QUERY, value=1.0),
                     mask, None, None,
                 )
-
-        return run
-
-    return setup
-
-
-class _StoredMaskPredicate(Predicate):
-    """Benchmark-only predicate: a fixed query-set mask, synthetic key.
-
-    Lets a kernel submit predetermined query sets through the full
-    ``ask`` pipeline (mask cache, plan cache, policy reviews) without
-    paying per-rep predicate evaluation: the engine memoizes the mask
-    under the synthetic cache key on first resolution, so every later
-    ask of the same predicate sees the identical frozen array.
-    """
-
-    def __init__(self, tag: int, mask: np.ndarray):
-        self._tag = tag
-        self._mask = np.asarray(mask, dtype=bool)
-
-    def mask(self, data) -> np.ndarray:
-        return self._mask
-
-    def cache_key(self) -> tuple:
-        return ("bench-stored-mask", self._tag)
-
-
-def _qdb_fused_audit(
-    h: int, n: int, fused: bool = True
-) -> Callable[[], Callable[[], object]]:
-    """Three stacked audit policies behind ``ask`` at session depth *h*.
-
-    The packed history holds *h* answered ~n/2 random query sets and the
-    sum-audit basis is pre-committed with a base query set C, so each of
-    the 8 probes (C plus one distinct extra record) passes the size
-    check, passes the overlap check only after scanning the history
-    (overlaps ~n/4 < max_overlap ~2n/5), and is then refused by the
-    audit (e_i = probe - C becomes deducible) — refusals leave the
-    packed history and the audit basis untouched, so every rep times the
-    identical state.  The plan path fuses the three reviews into one
-    shared pass and resumes the overlap scan from the prefix already
-    cleared for the probe's cached mask; ``fused=False`` builds the
-    same stack from :func:`benchmarks.seed_replicas.unfusable` twins,
-    whose plans run each policy's own review and rescan all *h* rows
-    per probe.
-    """
-    max_overlap = (2 * n) // 5
-
-    def setup():
-        rng = np.random.default_rng(11)
-        pop = patients(n, seed=3)
-        hist_masks = rng.random((h, n)) < 0.5
-        base = rng.random(n) < 0.5
-        extras = np.flatnonzero(~base)[:8]
-        policies = [QuerySetSizeControl(5), OverlapControl(max_overlap),
-                    SumAuditPolicy()]
-        if not fused:
-            unfusable(policies)
-        db = StatisticalDatabase(pop, policies)
-        for m in hist_masks:
-            db.history.record(LogEntry(_QDB_DUMMY_QUERY, m, True, 1.0))
-        audit = policies[2]
-        audit.review(_QDB_DUMMY_QUERY, base, None, [])
-        audit.transform(_QDB_DUMMY_QUERY, Answer(_QDB_DUMMY_QUERY, value=1.0),
-                        base, None, None)
-        queries = []
-        for j, extra in enumerate(extras):
-            probe = base.copy()
-            probe[extra] = True
-            queries.append(Query(Aggregate.SUM, "blood_pressure",
-                                 _StoredMaskPredicate(int(j), probe)))
-
-        def run():
-            for query in queries:
-                answer = db.ask(query)
-                if not answer.refused or "sum-audit" not in (answer.reason or ""):
-                    raise RuntimeError(f"unexpected decision: {answer}")
 
         return run
 
@@ -1043,13 +967,6 @@ KERNELS: list[Kernel] = [
     # 1 MiB budget (two chunks): the out-of-core session-history shape.
     Kernel("qdb_memmap_history_overlap",
            _qdb_overlap_memmap(2000, 5000, ram_budget=1 << 20), reps=5),
-    # n=20000 keeps the overlap scan (H x n/64 words) the dominant cost
-    # the fusion removes; the shared sum-audit arithmetic is O(n) and
-    # amortizes its per-call numpy overhead at this width.
-    Kernel("qdb_fused_audit_h2000", _qdb_fused_audit(2000, 20000), reps=3),
-    Kernel("ref_unfused_qdb_audit_h2000",
-           _qdb_fused_audit(2000, 20000, fused=False),
-           reps=1, reference_only=True),
     Kernel("qdb_plan_cache_batch", _qdb_plan_cache_batch(250, 256, 16),
            reps=3),
     Kernel("ref_cold_plan_ask_batch",
@@ -1107,9 +1024,9 @@ def time_kernel(kernel: Kernel, trials: int) -> tuple[float, float]:
     The median is what the absolute baselines compare against; the best
     (minimum) is recorded in the JSON for post-hoc noise analysis,
     because scheduler noise only ever *inflates* a sample.  The overhead
-    gates do not use either — they re-time their kernel pairs interleaved
-    (:func:`time_overhead_ratio`), which independent timings like these
-    cannot replace on a shared machine.
+    gates and the plan-cache gate do not use either — they re-time their
+    kernel pairs interleaved (:func:`time_overhead_ratio`), which
+    independent timings like these cannot replace on a shared machine.
     """
     run = kernel.setup()
     run()  # warm-up (bit matrices, caches) outside the timed region
@@ -1235,7 +1152,7 @@ def run_benchmarks(trials: int, names: list[str] | None = None) -> dict:
         (fast, ref, suffix)
         for pairs, suffix in ((SPEEDUP_PAIRS, "seed"), (UINT8_PAIRS, "uint8"))
         for fast, ref in pairs
-    ] + PLAN_PAIRS
+    ]
     for fast_name, ref_name, suffix in pair_groups:
         ref = results["kernels"].get(ref_name)
         fast = results["kernels"].get(fast_name)
@@ -1244,6 +1161,12 @@ def run_benchmarks(trials: int, names: list[str] | None = None) -> dict:
                 ref["median_seconds"] / fast["median_seconds"]
             )
     by_name = {kernel.name: kernel for kernel in KERNELS}
+    for fast_name, ref_name, suffix in PLAN_PAIRS:
+        if fast_name in results["kernels"] and ref_name in results["kernels"]:
+            results["speedups"][f"{fast_name}_vs_{suffix}"] = (
+                time_overhead_ratio(by_name[ref_name], by_name[fast_name],
+                                    trials)
+            )
     for wrapped_name, bare_name in OVERHEAD_PAIRS:
         if wrapped_name in results["kernels"] and bare_name in results["kernels"]:
             cpu = wrapped_name in CPU_CLOCK_OVERHEADS
@@ -1322,10 +1245,7 @@ def check_regressions(
         )
         for fast, _ in pairs
     ] + [
-        (fast, suffix, {
-            "unfused": "the unfused per-policy pipeline",
-            "cold": "cold per-query plan compilation",
-        }[suffix])
+        (fast, suffix, "cold per-query plan compilation")
         for fast, _, suffix in PLAN_PAIRS
     ]
     for fast_name, suffix, what in speedup_groups:

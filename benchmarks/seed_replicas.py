@@ -1,5 +1,4 @@
-"""Frozen replicas of the seed's query-auditing policies, and the
-unfusable stack.
+"""Frozen replicas of the seed's query-auditing policies.
 
 The ``Seed*`` classes preserve, line for line, the pre-optimization
 implementations of :class:`repro.qdb.OverlapControl` (per-entry Python
@@ -12,33 +11,21 @@ They exist for two reasons:
 * the benchmark harness times them alongside the packed/incremental
   policies so the recorded ``qdb_*_vs_seed`` speedups stay honest on any
   machine, and
-* the equivalence property tests (``tests/test_qdb_perf_equivalence.py``)
-  use them as the decision oracle: the optimized policies must produce
-  answer/refusal sequences identical to these replicas on randomized
-  workloads.
+* the equivalence property tests (``tests/test_qdb_perf_equivalence.py``
+  and ``tests/test_qdb_plan_equivalence.py``) use them as the decision
+  oracle: the optimized policies, run through the plan path, must
+  produce answer/refusal sequences identical to these replicas on
+  randomized workloads.
 
 Do not "fix" or vectorize anything here — the whole point is that this
 file stays frozen at the seed behaviour.
-
-The ``Unfusable*`` classes are the decision oracle for the plan
-optimizer.  They add nothing to the three fusable policies, but the
-plan compiler fuses exact types only, so a stack built from them runs
-one plain check per policy through each policy's own ``review``: the
-per-policy pipeline the fused audit node must match.  :func:`unfusable`
-turns a stack into that reference; the plan-equivalence tests and the
-``ref_unfused_*`` benchmark kernels use it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.qdb.engine import (
-    OverlapControl,
-    ProtectionPolicy,
-    QuerySetSizeControl,
-    SumAuditPolicy,
-)
+from repro.qdb.engine import ProtectionPolicy
 from repro.qdb.query import Aggregate
 
 
@@ -112,36 +99,3 @@ class SeedOverlapControl(ProtectionPolicy):
                     f"records (> {self.max_overlap})"
                 )
         return None
-
-
-class UnfusableSizeControl(QuerySetSizeControl):
-    """:class:`QuerySetSizeControl` that the plan optimizer does not fuse."""
-
-
-class UnfusableOverlapControl(OverlapControl):
-    """:class:`OverlapControl` that the plan optimizer does not fuse."""
-
-
-class UnfusableSumAuditPolicy(SumAuditPolicy):
-    """:class:`SumAuditPolicy` that the plan optimizer does not fuse."""
-
-
-_UNFUSABLE = {
-    QuerySetSizeControl: UnfusableSizeControl,
-    OverlapControl: UnfusableOverlapControl,
-    SumAuditPolicy: UnfusableSumAuditPolicy,
-}
-
-
-def unfusable(policies: list) -> list:
-    """*policies*, each fusable policy re-classed as its unfusable twin.
-
-    The twins declare no state or methods of their own, so swapping the
-    class changes only the type the plan compiler matches; parameters
-    and audit state stay on the object.  Returns the same list.
-    """
-    for policy in policies:
-        twin = _UNFUSABLE.get(type(policy))
-        if twin is not None:
-            policy.__class__ = twin
-    return policies

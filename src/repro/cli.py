@@ -18,7 +18,7 @@ Commands
     Run the Section 3 COUNT/AVG attack on Dataset 2.
 ``qdb explain "<query>" --policies size:5,overlap:40,sum-audit``
     Render the query's compiled plan before and after the optimizer
-    passes (fused audit checks, pruned no-ops); ``--pir-demo`` adds the
+    passes (pruned no-op checks and transforms); ``--pir-demo`` adds the
     coalesced PIR fetch plan for a Section 3 range batch.
 ``telemetry report <trace.jsonl>``
     Summarize a captured trace: latency table, slowest spans, refusals.

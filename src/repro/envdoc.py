@@ -55,11 +55,6 @@ ENV_KNOBS: tuple[EnvKnob, ...] = (
         "blocks are evicted to disk past it.",
     ),
     EnvKnob(
-        "REPRO_QDB_OVERLAP_CHUNK", "qdb", "rows", "2048",
-        "History rows per chunk in the overlap-control review sweep "
-        "(bounds peak memory of the packed AND+popcount pass).",
-    ),
-    EnvKnob(
         "REPRO_SERVING_SHARDS", "serving", "count >= 1", "4",
         "Default shard count for ServingRuntime / `repro serve` when "
         "no explicit value is given.",

@@ -1,14 +1,13 @@
 """Query plan IR, optimizer, cache and executor.
 
-This package is where speed work on the query path lands: queries
-compile into a small typed plan IR (:mod:`~repro.plan.ir`), explicit
-optimizer passes rewrite it (:mod:`~repro.plan.optimizer`: fuse audit
-checks into one shared pass, prune no-op nodes, coalesce PIR fetches
-into one deduplicated batch), and the planner caches compiled plans by
-normalized query structure and executes them
-(:mod:`~repro.plan.executor`).  The passes only change how a decision
-is reached: a fused plan decides exactly as the same stack run one
-policy ``review`` at a time.
+Queries compile into a small typed plan IR (:mod:`~repro.plan.ir`),
+explicit optimizer passes rewrite it (:mod:`~repro.plan.optimizer`:
+prune no-op nodes, coalesce PIR fetches into one deduplicated batch),
+and the planner caches compiled plans by normalized query structure and
+executes them (:mod:`~repro.plan.executor`).  The passes only change
+how a decision is reached: every check still runs through its policy's
+own ``review``, so a plan decides exactly as the stack run one policy
+at a time.
 
 Consumers: :class:`repro.qdb.engine.StatisticalDatabase` decides every
 ``ask``/``ask_batch`` through a :class:`QueryPlanner`, and
@@ -21,9 +20,7 @@ from .compiler import compile_query, plan_key, policy_signature
 from .executor import PlanRuntime, QueryPlanner
 from .ir import (
     AnswerSink,
-    AuditCheck,
     Evaluate,
-    FusedAuditCheck,
     FusedPirFetch,
     PirFetch,
     Plan,
@@ -36,22 +33,17 @@ from .ir import (
 )
 from .optimizer import (
     PASS_COALESCE_PIR,
-    PASS_FUSE_AUDIT,
     PASS_PRUNE_NOOP,
     coalesce_pir_fetches,
-    fuse_audit_checks,
     optimize,
     prune_noop_nodes,
 )
 
 __all__ = [
     "AnswerSink",
-    "AuditCheck",
     "Evaluate",
-    "FusedAuditCheck",
     "FusedPirFetch",
     "PASS_COALESCE_PIR",
-    "PASS_FUSE_AUDIT",
     "PASS_PRUNE_NOOP",
     "PirFetch",
     "Plan",
@@ -65,7 +57,6 @@ __all__ = [
     "coalesce_pir_fetches",
     "compile_query",
     "explain",
-    "fuse_audit_checks",
     "optimize",
     "plan_key",
     "policy_signature",

@@ -3,33 +3,24 @@
 The compiled form is the per-policy pipeline spelled out node by node:
 scan the predicate mask, run every policy's review in stack order,
 evaluate the aggregate, run every policy's transform in stack order,
-answer.  The optimizer (:mod:`repro.plan.optimizer`) rewrites it; the
-executor (:mod:`repro.plan.executor`) runs either form with identical
-decisions.  A stack whose audit policies are all subclasses fuses
-nothing (:func:`audit_check_for` matches exact types only), so its plan
-keeps one delegating check per policy: the tests and benchmarks use
-such a stack as the unfused reference.
+answer.  The optimizer (:mod:`repro.plan.optimizer`) prunes the no-op
+nodes; the executor (:mod:`repro.plan.executor`) runs either form with
+identical decisions, each check through its policy's own ``review``.
 
 Plans are cached under a *normalized structural key*: the aggregate,
 the target column, the predicate's structural
 :meth:`~repro.qdb.query.Predicate.cache_key`, and the policy stack's
-signature (type, name, and the parameters the fused executor reads).
-Two queries with equal keys compile to the same plan, so repeated
-tracker shapes skip compilation entirely.
+signature (type and display name of each policy).  Two queries with
+equal keys compile to the same plan, so repeated tracker shapes skip
+compilation entirely.
 """
 
 from __future__ import annotations
 
-from ..qdb.engine import (
-    OverlapControl,
-    ProtectionPolicy,
-    QuerySetSizeControl,
-    SumAuditPolicy,
-)
+from ..qdb.engine import ProtectionPolicy
 from ..qdb.query import Query, TruePredicate
 from .ir import (
     AnswerSink,
-    AuditCheck,
     Evaluate,
     Plan,
     PolicyCheck,
@@ -38,29 +29,22 @@ from .ir import (
     Transform,
 )
 
-__all__ = ["audit_check_for", "compile_query", "plan_key", "policy_signature"]
+__all__ = ["compile_query", "plan_key", "policy_signature"]
 
 
 def policy_signature(policies) -> tuple:
     """Structural signature of a policy stack, for plan-cache keying.
 
-    Captures everything a cached plan's *structure* depends on: the
-    concrete type, the display name (which encodes most constructor
-    parameters), and — for the policies the fused audit node
-    reimplements — the parameters its checks read (``k``,
-    ``max_overlap``, ``chunk``).  Stateful policies (the sum audit) are
-    always executed through the live object at their stack index, so
-    their mutable state never needs to appear in the key.
+    A cached plan's *structure* depends on each policy's concrete type
+    (which nodes pruning drops) and display name (which encodes the
+    constructor parameters and labels the nodes).  The type itself is
+    keyed, not its name: a subclass named like its base may add a
+    ``review`` or ``transform`` the base's plan prunes.  Execution reads
+    everything else off the live policy objects at their stack indices,
+    so neither parameters mutated in place nor audit state ever need to
+    appear in the key.
     """
-    parts = []
-    for policy in policies:
-        extra: tuple = ()
-        if type(policy) is QuerySetSizeControl:
-            extra = (policy.k,)
-        elif type(policy) is OverlapControl:
-            extra = (policy.max_overlap, policy.chunk)
-        parts.append((type(policy).__name__, policy.name) + extra)
-    return tuple(parts)
+    return tuple((type(policy), policy.name) for policy in policies)
 
 
 def plan_key(query: Query, policies) -> tuple:
@@ -71,27 +55,6 @@ def plan_key(query: Query, policies) -> tuple:
         query.predicate.cache_key(),
         policy_signature(policies),
     )
-
-
-def audit_check_for(index: int, policy) -> AuditCheck | None:
-    """The fused-check descriptor for *policy*, or None if not fusable.
-
-    Only the three audit policies whose review semantics the fused
-    executor replicates exactly are fusable, and only at their *exact*
-    type — a subclass may override ``review``, so it runs as a plain
-    :class:`~repro.plan.ir.PolicyCheck` delegating to the override.
-    """
-    cls = type(policy)
-    if cls is QuerySetSizeControl:
-        return AuditCheck("size", index, policy.name, k=policy.k)
-    if cls is OverlapControl:
-        return AuditCheck(
-            "overlap", index, policy.name,
-            max_overlap=policy.max_overlap, chunk=policy.chunk,
-        )
-    if cls is SumAuditPolicy:
-        return AuditCheck("sum-audit", index, policy.name)
-    return None
 
 
 def has_review(policy) -> bool:

@@ -2,39 +2,19 @@
 
 :class:`QueryPlanner` owns the compile → optimize → cache → execute
 loop for one :class:`~repro.qdb.engine.StatisticalDatabase`, and its
-:meth:`~QueryPlanner.decide` is the engine's only decision path.  Every
-optimization it applies is *decision-preserving* — same answers, same
-refusal strings, same history, same counters, same rng stream as each
-policy's own ``review``/``transform`` run in stack order, which the
-golden-fingerprint and property suites pin down.  The speed comes from
-three places a per-policy loop cannot reach:
-
-* the fused audit node computes the query-set popcount once and shares
-  it between the size and overlap checks;
-* the packed overlap candidate is cached on the plan runtime (one
-  ``pack_bool_rows`` per unique query shape, not per review);
-* overlap scans are *incremental*: the history is append-only, and the
-  chunked scan preserves order, so a candidate that has already been
-  cleared against the first ``d`` history rows under a threshold ``t``
-  only scans the suffix ``[d, len(log))`` on its next review while the
-  live threshold is at least ``t``.  The cleared depth advances only
-  after a clean scan, and resets whenever the engine's log object
-  changes identity or the threshold is lowered in place, so decisions
-  — including *which* violating history row is reported first — never
-  differ from a full scan.
-
-The stateful sum audit is always delegated to the live policy object:
-its incremental Gram–Schmidt float pipeline is bit-sensitive to
-operation order, so the planner must not re-derive it.
+:meth:`~QueryPlanner.decide` is the engine's only decision path.  It
+runs each remaining check through its policy's own ``review`` and each
+remaining transform through its policy's own ``transform``, in stack
+order, so answers, refusal strings, history, counters and the rng
+stream are exactly those of the per-policy pipeline; the speed it adds
+is the plan cache, which skips compilation for repeated query shapes.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..faults.errors import BackendUnavailable
 from .compiler import compile_query, policy_signature
-from .ir import FusedAuditCheck, Plan, PolicyCheck, Transform, explain
+from .ir import Plan, PolicyCheck, Transform, explain
 from .optimizer import optimize
 
 __all__ = ["PlanRuntime", "QueryPlanner"]
@@ -53,30 +33,18 @@ def _engine():
 
 
 class PlanRuntime:
-    """Mutable per-plan execution state (never part of the frozen plan).
+    """A cached plan's execution lists (never part of the frozen plan):
+    the stack indices of its checks and of its transforms, in order."""
 
-    Holds the derived execution lists (check nodes, transform indices)
-    and the overlap-scan acceleration state: the packed candidate for
-    the plan's (frozen, engine-shared) mask object and, per check, the
-    history depth already scanned clean with the threshold it was
-    scanned under.
-    """
-
-    __slots__ = ("checks", "transforms", "mask_ref", "packed", "log_ref",
-                 "cleared")
+    __slots__ = ("checks", "transforms")
 
     def __init__(self, plan: Plan):
         self.checks = tuple(
-            node for node in plan.nodes
-            if isinstance(node, (PolicyCheck, FusedAuditCheck))
+            node.index for node in plan.nodes if isinstance(node, PolicyCheck)
         )
         self.transforms = tuple(
             node.index for node in plan.nodes if isinstance(node, Transform)
         )
-        self.mask_ref: np.ndarray | None = None
-        self.packed: np.ndarray | None = None
-        self.log_ref = None
-        self.cleared: dict[int, tuple[int, int]] = {}
 
 
 class QueryPlanner:
@@ -89,12 +57,10 @@ class QueryPlanner:
         # queries touches a few dozen of them.
         self._cache: dict | None = {} if cache else None
         self._sig_ids: tuple | None = None
+        self._sig_policies: tuple = ()
         self._sig: tuple = ()
         #: Whether the most recent decide() hit the plan cache.
         self.last_cached = False
-        #: History rows the most recent decide() skipped via incremental
-        #: overlap scanning.
-        self.last_rows_skipped = 0
 
     @property
     def cache(self) -> dict | None:
@@ -104,17 +70,20 @@ class QueryPlanner:
         """The stack's structural signature, memoized by object identity.
 
         Execution always reads parameters off the live policy objects at
-        their stack indices (and the incremental overlap scan rescans
-        when ``max_overlap`` is lowered), so in-place parameter mutation
-        never stales a decision; the signature only has to change when
-        the stack's *objects* change (swap, append, reorder), which the
-        id tuple detects at a fraction of the cost of rebuilding the
-        signature on every ask.
+        their stack indices, so in-place parameter mutation never stales
+        a decision; the signature only has to change when the stack's
+        *objects* change (swap, append, reorder), which the id tuple
+        detects at a fraction of the cost of rebuilding the signature on
+        every ask.  The memo holds the policies it was computed for: an
+        id is unique only among live objects, so a freed policy's id
+        could otherwise pass to a new policy and hand it the old stack's
+        plans.
         """
         ids = tuple(map(id, policies))
         if ids != self._sig_ids:
             self._sig = policy_signature(policies)
             self._sig_ids = ids
+            self._sig_policies = tuple(policies)
         return self._sig
 
     def plan_for(self, query) -> tuple[Plan, PlanRuntime]:
@@ -143,14 +112,18 @@ class QueryPlanner:
         return entry
 
     def explain(self, query) -> str:
-        """Pre/post-optimization rendering plus the cache key."""
+        """Pre/post-optimization rendering plus the cache key, with each
+        policy type shown by its class name."""
         db = self._db
         before = compile_query(query, db.policies)
         after = optimize(before, db.policies)
+        *shape, signature = before.key
+        names = tuple((cls.__name__, name) for cls, name in signature)
+        shown = (*shape, names)
         return "\n".join([
             explain(before, after),
             "",
-            f"cache key: {before.key!r}",
+            f"cache key: {shown!r}",
         ])
 
     def decide(self, query, mask):
@@ -158,25 +131,17 @@ class QueryPlanner:
         db = self._db
         eng = _engine()
         db._c_asked.inc()
-        self.last_rows_skipped = 0
-        plan, runtime = self.plan_for(query)
+        _, runtime = self.plan_for(query)
         policies = db.policies
-        for node in runtime.checks:
-            if type(node) is FusedAuditCheck:
-                refusal = self._run_fused(node, query, mask, runtime)
-            else:
-                policy = policies[node.index]
-                reason = policy.review(query, mask, db._data, db.history)
-                refusal = (
-                    None if reason is None else (policy.name, reason)
-                )
-            if refusal is not None:
-                name, reason = refusal
+        for index in runtime.checks:
+            policy = policies[index]
+            reason = policy.review(query, mask, db._data, db.history)
+            if reason is not None:
                 db._c_refused.inc()
                 db._consume_degraded()  # don't leak onto the next answer
                 db.history.record(eng.LogEntry(query, mask, False, None))
                 return eng.Answer(
-                    query, refused=True, reason=f"{name}: {reason}"
+                    query, refused=True, reason=f"{policy.name}: {reason}"
                 )
         try:
             answer = eng.Answer(
@@ -197,74 +162,3 @@ class QueryPlanner:
                 detail="storage replica failover during read",
             )
         return answer
-
-    def _run_fused(self, node, query, mask, runtime):
-        """One shared pass over the audit state; first violation wins.
-
-        Checks execute in stack order and short-circuit exactly like
-        each policy's own ``review`` in turn, including the reason
-        strings; parameters are read from the *live* policy objects at
-        the recorded indices (the cache key pins the values the plan
-        structure depends on).
-        """
-        db = self._db
-        policies = db.policies
-        size = -1
-        for check in node.checks:
-            policy = policies[check.index]
-            if check.kind == "size":
-                if size < 0:
-                    size = int(np.count_nonzero(mask))
-                if size < policy.k:
-                    return (policy.name,
-                            f"query set too small ({size} < {policy.k})")
-                if size > db._data.n_rows - policy.k:
-                    return (policy.name,
-                            f"query set too large ({size} > n - {policy.k})")
-            elif check.kind == "overlap":
-                if size < 0:
-                    size = int(np.count_nonzero(mask))
-                if size <= policy.max_overlap:
-                    continue  # |Q ∩ C| <= |C| can never exceed the threshold
-                if getattr(db.history, "answered_masks", None) is None:
-                    reason = policy.review(query, mask, db._data, db.history)
-                else:
-                    reason = self._overlap_scan(check, policy, mask, runtime)
-                if reason is not None:
-                    return policy.name, reason
-            else:  # sum-audit: stateful float pipeline, delegated verbatim
-                reason = policy.review(query, mask, db._data, db.history)
-                if reason is not None:
-                    return policy.name, reason
-        return None
-
-    def _overlap_scan(self, check, policy, mask, runtime):
-        """Chunked overlap scan resuming from the cleared history prefix."""
-        log = self._db.history.answered_masks
-        if runtime.log_ref is not log or runtime.mask_ref is not mask:
-            runtime.log_ref = log
-            runtime.mask_ref = mask
-            runtime.packed = log.pack(mask)
-            runtime.cleared.clear()
-        packed = runtime.packed
-        depth = len(log)
-        start, threshold = runtime.cleared.get(check.index, (0, 0))
-        # A shrunken log, or a threshold lowered in place since the clean
-        # scan, invalidates the cleared prefix: rescan everything.
-        if start > depth or policy.max_overlap < threshold:
-            start = 0
-        for s in range(start, depth, policy.chunk):
-            stop = min(s + policy.chunk, depth)
-            overlaps = log.overlaps(packed, s, stop)
-            hits = overlaps > policy.max_overlap
-            if hits.any():
-                overlap = int(overlaps[int(np.argmax(hits))])
-                return (
-                    f"query set overlaps a previous one in {overlap} "
-                    f"records (> {policy.max_overlap})"
-                )
-        runtime.cleared[check.index] = (depth, policy.max_overlap)
-        if start:
-            self.last_rows_skipped += start
-            self._db._c_fused_rows_skipped.inc(start)
-        return None

@@ -4,9 +4,9 @@ A :class:`Plan` is a short linear program over the engine's decision
 pipeline — resolve the predicate mask, run each policy's review (any
 refusal jumps to the :class:`RefuseSink`), evaluate the aggregate, run
 each policy's transform, answer.  The optimizer rewrites node sequences
-(:mod:`repro.plan.optimizer`) without changing their meaning: a
-:class:`FusedAuditCheck` replaces a run of :class:`PolicyCheck` nodes,
-a :class:`FusedPirFetch` replaces a run of :class:`PirFetch` nodes.
+(:mod:`repro.plan.optimizer`) without changing their meaning: pruning
+drops no-op :class:`PolicyCheck` and :class:`Transform` nodes, and a
+:class:`FusedPirFetch` replaces a run of :class:`PirFetch` nodes.
 
 Nodes are frozen dataclasses holding only *structure* (policy indices,
 parameters, cell lists) — never live engine state — so plans are safe
@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "AnswerSink",
-    "AuditCheck",
     "Evaluate",
-    "FusedAuditCheck",
     "FusedPirFetch",
     "PirFetch",
     "Plan",
@@ -61,44 +59,6 @@ class PolicyCheck(PlanNode):
 
     def describe(self) -> str:
         return f"PolicyCheck   [{self.index}] {self.policy} -> Refuse on violation"
-
-
-@dataclass(frozen=True)
-class AuditCheck:
-    """One fused check descriptor: kind in {'size', 'overlap', 'sum-audit'}."""
-
-    kind: str
-    index: int
-    policy: str
-    k: int = 0
-    max_overlap: int = 0
-    chunk: int = 0
-
-    def describe(self) -> str:
-        if self.kind == "size":
-            return f"size k={self.k} ({self.policy})"
-        if self.kind == "overlap":
-            return (f"overlap r={self.max_overlap} chunk={self.chunk} "
-                    f"incremental ({self.policy})")
-        return f"sum-audit ({self.policy})"
-
-
-@dataclass(frozen=True)
-class FusedAuditCheck(PlanNode):
-    """A contiguous run of audit reviews sharing one pass over the state.
-
-    The checks keep stack order; the query-set popcount is computed once
-    and shared, the packed candidate is cached on the plan runtime, and
-    overlap scans resume from the deepest history prefix this plan has
-    already cleared for the same candidate.
-    """
-
-    checks: tuple[AuditCheck, ...]
-
-    def describe(self) -> str:
-        parts = "; ".join(check.describe() for check in self.checks)
-        return (f"FusedAudit    {len(self.checks)} checks, one shared pass: "
-                f"{parts} -> Refuse on first violation")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Optimizer passes over the plan IR.
 
-Three explicit passes, each a pure plan-to-plan rewrite (DESIGN.md §10
+Two explicit passes, each a pure plan-to-plan rewrite (DESIGN.md §10
 carries the legality arguments in full):
 
 ``prune-noop-nodes``
@@ -9,21 +9,7 @@ carries the legality arguments in full):
     camouflage) and :class:`Transform` nodes whose policy inherits the
     base no-op ``transform`` (review-only policies: size control,
     overlap control).  Legal because the base methods are side-effect
-    free and decision-free; as a bonus, pruning makes audit checks
-    separated only by transform-only policies *contiguous*, enabling
-    fusion across them.
-
-``fuse-audit-checks``
-    Replace each maximal contiguous run of fusable checks (exact-type
-    size control / overlap control / sum audit) with one
-    :class:`FusedAuditCheck` that shares a single query-set popcount,
-    caches the packed candidate on the plan runtime, and scans the
-    packed history incrementally.  Runs never extend across a
-    non-fusable check: an unknown policy's ``review`` may carry side
-    effects, so its position in the refusal order is load-bearing.
-    A single fusable check still fuses when it is an overlap control
-    (the incremental scan alone pays); a lone size or sum-audit check
-    stays a plain delegating node.
+    free and decision-free.
 
 ``coalesce-pir-fetches``
     Replace every :class:`PirFetch` in the plan with one
@@ -34,15 +20,16 @@ carries the legality arguments in full):
     exact for every retrieved index regardless of the randomness
     consumed, so merging fetches changes traffic, never values.
 
-``optimize`` applies them in that order and records the passes that
-actually changed the plan in ``Plan.passes``.
+Audit checks are never rewritten: each policy's own ``review`` is the
+only code that decides its check.  ``optimize`` applies the passes in
+that order and records the ones that actually changed the plan in
+``Plan.passes``.
 """
 
 from __future__ import annotations
 
-from .compiler import audit_check_for, has_review, has_transform
+from .compiler import has_review, has_transform
 from .ir import (
-    FusedAuditCheck,
     FusedPirFetch,
     PirFetch,
     Plan,
@@ -53,16 +40,13 @@ from .ir import (
 
 __all__ = [
     "PASS_COALESCE_PIR",
-    "PASS_FUSE_AUDIT",
     "PASS_PRUNE_NOOP",
     "coalesce_pir_fetches",
-    "fuse_audit_checks",
     "optimize",
     "prune_noop_nodes",
 ]
 
 PASS_PRUNE_NOOP = "prune-noop-nodes"
-PASS_FUSE_AUDIT = "fuse-audit-checks"
 PASS_COALESCE_PIR = "coalesce-pir-fetches"
 
 
@@ -81,36 +65,6 @@ def prune_noop_nodes(nodes: tuple[PlanNode, ...],
             continue
         kept.append(node)
     return tuple(kept)
-
-
-def fuse_audit_checks(nodes: tuple[PlanNode, ...],
-                      policies) -> tuple[PlanNode, ...]:
-    """Fuse maximal contiguous runs of fusable audit checks."""
-    out: list[PlanNode] = []
-    run: list = []  # pending (node, AuditCheck) pairs
-
-    def flush():
-        if not run:
-            return
-        checks = tuple(check for _, check in run)
-        if len(checks) >= 2 or any(c.kind == "overlap" for c in checks):
-            out.append(FusedAuditCheck(checks))
-        else:
-            out.extend(node for node, _ in run)
-        run.clear()
-
-    for node in nodes:
-        check = (
-            audit_check_for(node.index, policies[node.index])
-            if isinstance(node, PolicyCheck) else None
-        )
-        if check is not None:
-            run.append((node, check))
-            continue
-        flush()
-        out.append(node)
-    flush()
-    return tuple(out)
 
 
 def coalesce_pir_fetches(nodes: tuple[PlanNode, ...]) -> tuple[PlanNode, ...]:
@@ -150,7 +104,6 @@ def optimize(plan: Plan, policies=()) -> Plan:
     applied = []
     for name, rewrite in (
         (PASS_PRUNE_NOOP, lambda n: prune_noop_nodes(n, policies)),
-        (PASS_FUSE_AUDIT, lambda n: fuse_audit_checks(n, policies)),
         (PASS_COALESCE_PIR, coalesce_pir_fetches),
     ):
         rewritten = rewrite(nodes)

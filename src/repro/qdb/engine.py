@@ -69,9 +69,9 @@ def _span_texts(query: Query) -> tuple[str, str, str]:
 def _env_int(name: str, *, minimum: int = 1) -> int | None:
     """A validated positive integer from the environment, or None if unset.
 
-    Misconfiguration fails loudly at construction: a typo'd chunk size or
-    RAM budget silently falling back to a default is exactly the kind of
-    drift a perf harness cannot see.
+    Misconfiguration fails loudly at construction: a typo'd RAM budget
+    silently falling back to a default is exactly the kind of drift a
+    perf harness cannot see.
     """
     env = os.environ.get(name, "").strip()
     if not env:
@@ -388,9 +388,6 @@ class StatisticalDatabase:
         self._c_degraded = self.metrics.counter("qdb.degraded_answers")
         self._c_plan_hits = self.metrics.counter("qdb.plan_cache_hits")
         self._c_plan_misses = self.metrics.counter("qdb.plan_cache_misses")
-        self._c_fused_rows_skipped = self.metrics.counter(
-            "qdb.fused_rows_skipped"
-        )
         # Per-thread session label: concurrent serving threads each tag
         # their own spans without seeing each other's labels.
         self._session_ctx = threading.local()
@@ -468,11 +465,6 @@ class StatisticalDatabase:
     def plan_cache_misses(self) -> int:
         """Plan-cache misses (read-through to the counter)."""
         return self._c_plan_misses.value
-
-    @property
-    def fused_rows_skipped(self) -> int:
-        """History rows skipped by incremental fused overlap scans."""
-        return self._c_fused_rows_skipped.value
 
     @property
     def degraded_answers(self) -> int:
@@ -684,10 +676,6 @@ class StatisticalDatabase:
             # Captured eagerly (the deferred closure may render much
             # later, after other queries overwrote the planner state).
             plan_stats["plan_cached"] = self._planner.last_cached
-            if self._planner.last_rows_skipped:
-                plan_stats["fused_rows_skipped"] = (
-                    self._planner.last_rows_skipped
-                )
         if latency is None:
             latency = tele.histogram("qdb.query_seconds")
         latency.observe(span.duration)
@@ -723,7 +711,7 @@ class QuerySetSizeControl(ProtectionPolicy):
         self.name = f"size-control(k={k})"
 
     def review(self, query, mask, data, history):
-        size = int(mask.sum())
+        size = int(np.count_nonzero(mask))
         if size < self.k:
             return f"query set too small ({size} < {self.k})"
         if size > data.n_rows - self.k:
@@ -975,11 +963,9 @@ class OverlapControl(ProtectionPolicy):
     answered query set whose overlap exceeds the threshold is always
     the one reported.
 
-    The chunk size trades early-exit granularity against per-call
-    overhead; the default comes from the
-    ``benchmarks/bench_overlap_chunk.py`` sweep and can be overridden
-    per instance (``chunk=``) or process-wide with the
-    ``REPRO_QDB_OVERLAP_CHUNK`` environment variable.
+    The chunk size (:attr:`_CHUNK`) trades early-exit granularity
+    against per-call overhead; its value comes from the
+    ``benchmarks/bench_overlap_chunk.py`` sweep.
 
     Threat model: the difference attacker (query pairs isolating a
     record by subtraction).  Failure behaviour: pure refusal, judged
@@ -991,25 +977,19 @@ class OverlapControl(ProtectionPolicy):
     # backend; early-hit scans stay sub-millisecond at this size.
     _CHUNK = 2048
 
-    def __init__(self, max_overlap: int, chunk: int | None = None):
+    def __init__(self, max_overlap: int):
         if max_overlap < 0:
             raise ValueError("max_overlap must be >= 0")
-        if chunk is None:
-            chunk = _env_int("REPRO_QDB_OVERLAP_CHUNK")
-            if chunk is None:
-                chunk = self._CHUNK
-        if chunk <= 0:
-            raise ValueError("chunk must be positive")
         self.max_overlap = max_overlap
-        self.chunk = int(chunk)
         self.name = f"overlap-control(r={max_overlap})"
 
     def _review_packed(self, mask, log: PackedMaskLog):
         if int(np.count_nonzero(mask)) <= self.max_overlap:
             return None  # |Q ∩ C| <= |C| can never exceed the threshold
         packed = log.pack(mask)
-        for start in range(0, len(log), self.chunk):
-            stop = min(start + self.chunk, len(log))
+        chunk = self._CHUNK
+        for start in range(0, len(log), chunk):
+            stop = min(start + chunk, len(log))
             overlaps = log.overlaps(packed, start, stop)
             hits = overlaps > self.max_overlap
             if hits.any():

@@ -58,8 +58,13 @@ class Counter:
 
     def inc(self, n: int | float = 1) -> None:
         """Add *n* (default 1) to the count; exact under concurrency."""
-        with self._lock:
+        # acquire/release rather than ``with``, as in Histogram.observe.
+        lock = self._lock
+        lock.acquire()
+        try:
             self.value += n
+        finally:
+            lock.release()
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, value={self.value})"

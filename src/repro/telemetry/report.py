@@ -134,16 +134,13 @@ def cache_efficiency(spans: list[dict]) -> dict:
 
     Every ``qdb.query`` span carries ``cache_hit`` (predicate mask cache);
     plan-compiled queries additionally carry ``plan_cached`` (whether the
-    compiled plan came from the plan cache) and, when the fused audit
-    pass skipped already-cleared history rows, ``fused_rows_skipped``.
-    Returns ``{"mask_cache": {...}, "plan_cache": {...},
-    "fused_rows_skipped": int}`` where each cache entry holds ``hits``,
+    compiled plan came from the plan cache).  Returns ``{"mask_cache":
+    {...}, "plan_cache": {...}}`` where each entry holds ``hits``,
     ``misses`` and ``hit_rate`` (0.0 when the cache saw no traffic).
     ``plan_cache`` covers only spans that recorded ``plan_cached`` — a
     pre-plan trace yields zeros there, not an error.
     """
     mask_hits = mask_misses = plan_hits = plan_misses = 0
-    rows_skipped = 0
     for span in spans:
         if span["name"] != "qdb.query":
             continue
@@ -158,7 +155,6 @@ def cache_efficiency(spans: list[dict]) -> dict:
                 plan_hits += 1
             else:
                 plan_misses += 1
-        rows_skipped += int(attrs.get("fused_rows_skipped", 0))
 
     def rates(hits: int, misses: int) -> dict:
         total = hits + misses
@@ -171,7 +167,6 @@ def cache_efficiency(spans: list[dict]) -> dict:
     return {
         "mask_cache": rates(mask_hits, mask_misses),
         "plan_cache": rates(plan_hits, plan_misses),
-        "fused_rows_skipped": rows_skipped,
     }
 
 
@@ -262,7 +257,7 @@ class TraceReport:
 
     @property
     def caches(self) -> dict:
-        """Mask-cache / plan-cache efficiency and fused-scan savings."""
+        """Mask-cache and plan-cache efficiency."""
         return cache_efficiency(self.by_name.get("qdb.query", []))
 
     @property
@@ -311,12 +306,6 @@ class TraceReport:
                     f"  {label:<11s} {entry['hits']} hits / "
                     f"{entry['misses']} misses "
                     f"({entry['hit_rate']:.1%} hit rate)"
-                )
-            if caches["fused_rows_skipped"]:
-                lines.append(
-                    f"  fused audit skipped "
-                    f"{caches['fused_rows_skipped']:,} already-cleared "
-                    f"history rows"
                 )
         refusals = self.decisions("refusal")
         lines += ["", f"refusal decisions: {len(refusals)}"]

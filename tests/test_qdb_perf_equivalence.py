@@ -17,10 +17,12 @@ from repro.data import patients
 from repro.qdb import (
     Aggregate,
     Comparison,
+    LogEntry,
     Not,
     OverlapControl,
     PackedMaskLog,
     Query,
+    QueryHistory,
     QuerySetSizeControl,
     StatisticalDatabase,
     SumAuditPolicy,
@@ -154,6 +156,62 @@ def test_combined_stack_matches_seed(seed):
         [OverlapControl(max_overlap), SumAuditPolicy()],
         [SeedOverlapControl(max_overlap), SeedSumAuditPolicy()],
     )
+
+
+class TestOverlapChunkInvariance:
+    """``OverlapControl`` decides and words its refusals the same for
+    every history chunk size, exactly like the seed's per-entry loop.
+
+    The history holds two rows over the threshold for the first probe,
+    the later one with the larger overlap (rows 70 and 100, one chunk
+    of 64 or 2048 rows): reporting any violating row but the first
+    names the wrong overlap.
+    """
+
+    N_RECORDS, MAX_OVERLAP = 256, 60
+    QUERY = Query(Aggregate.SUM, "x", Comparison("x", ">", 0.0))
+
+    def history_and_probes(self, store):
+        rng = np.random.default_rng(21)
+        n = self.N_RECORDS
+        records = np.arange(n)
+        # Random rows meet a 128-record probe in ~26 records, far from 60.
+        rows = rng.random((150, n)) < 0.2
+        rows[70] = records < 80    # meets the first probe in 80 records
+        rows[100] = records < 100  # ... and in 100
+        history = QueryHistory(n, store=store)
+        for row in rows:
+            history.record(LogEntry(self.QUERY, row, True, 1.0))
+        probes = [
+            records < 128,                      # both rows violate
+            (records >= 25) & (records < 145),  # only row 100: 75 > 60
+            records >= 128,                     # no row violates
+            records < 50,                       # too small to violate
+            *(rng.random((4, n)) < 0.5),
+        ]
+        return history, probes
+
+    @pytest.mark.parametrize("store", ["ram", "memmap"])
+    @pytest.mark.parametrize("chunk", [1, 3, 64, 2048])
+    def test_reviews_match_the_seed_loop(self, chunk, store):
+        history, probes = self.history_and_probes(store)
+        policy = OverlapControl(self.MAX_OVERLAP)
+        policy._CHUNK = chunk
+        seed = SeedOverlapControl(self.MAX_OVERLAP)
+        reasons = [
+            policy.review(self.QUERY, probe, None, history)
+            for probe in probes
+        ]
+        assert reasons == [
+            seed.review(self.QUERY, probe, None, history)
+            for probe in probes
+        ]
+        assert reasons[:4] == [
+            "query set overlaps a previous one in 80 records (> 60)",
+            "query set overlaps a previous one in 75 records (> 60)",
+            None,
+            None,
+        ]
 
 
 def golden_session(policies, **db_kwargs):

@@ -1,22 +1,20 @@
 """The query-plan layer: IR, optimizer passes, plan cache, word stores.
 
 Unit coverage for :mod:`repro.plan` and its supporting pieces — plan
-rendering, pass-by-pass optimizer behaviour (pruning, audit fusion, PIR
-coalescing), plan-cache keying, the ``WordLogStore`` tier backing
-out-of-core packed histories, loud environment-variable validation, and
-the ``repro qdb explain`` CLI.  Decision equivalence against the
-unfused per-policy pipeline lives in ``test_qdb_plan_equivalence.py``.
+rendering, pass-by-pass optimizer behaviour (pruning, PIR coalescing),
+plan-cache keying, the ``WordLogStore`` tier backing out-of-core packed
+histories, loud environment-variable validation, and the ``repro qdb
+explain`` CLI.  Decision equivalence against the seed replicas lives in
+``test_qdb_plan_equivalence.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.data import patients
+from repro.data import Dataset, patients
 from repro.kernels import MemmapWordLog, RamWordLog, words_per_bits
 from repro.plan import (
-    AuditCheck,
-    FusedAuditCheck,
     FusedPirFetch,
     PirFetch,
     Plan,
@@ -26,17 +24,16 @@ from repro.plan import (
     Transform,
     coalesce_pir_fetches,
     compile_query,
-    fuse_audit_checks,
     optimize,
     plan_key,
     policy_signature,
-    prune_noop_nodes,
 )
 from repro.qdb import (
     Aggregate,
     Comparison,
     NoisePerturbation,
     OverlapControl,
+    ProtectionPolicy,
     Query,
     QueryHistory,
     QuerySetSizeControl,
@@ -70,13 +67,15 @@ class TestCompiler:
             QUERY, [QuerySetSizeControl(6)]
         )
 
-    def test_policy_signature_captures_fused_parameters(self):
+    def test_policy_signature_is_type_and_name(self):
         sig = policy_signature(
             [QuerySetSizeControl(7), OverlapControl(9), SumAuditPolicy()]
         )
-        assert sig[0] == ("QuerySetSizeControl", "size-control(k=7)", 7)
-        assert sig[1][2:] == (9, OverlapControl(9).chunk)
-        assert sig[2] == ("SumAuditPolicy", "sum-audit")
+        assert sig == (
+            (QuerySetSizeControl, "size-control(k=7)"),
+            (OverlapControl, "overlap-control(r=9)"),
+            (SumAuditPolicy, "sum-audit"),
+        )
 
 
 class TestOptimizerPasses:
@@ -91,57 +90,48 @@ class TestOptimizerPasses:
         assert [t.index for t in transforms] == [1]
         assert "prune-noop-nodes" in plan.passes
 
-    def test_three_audit_policies_fuse_into_one_node(self):
-        policies = [QuerySetSizeControl(5), OverlapControl(40),
-                    SumAuditPolicy()]
+    def test_every_audit_policy_keeps_its_own_check(self):
+        # Audit checks are never rewritten: each runs as its policy's
+        # own review, in stack order, after pruning drops the no-ops.
+        policies = [QuerySetSizeControl(5), NoisePerturbation(1.0),
+                    OverlapControl(40), SumAuditPolicy()]
         plan = optimize(compile_query(QUERY, policies), policies)
-        fused = [n for n in plan.nodes if isinstance(n, FusedAuditCheck)]
-        assert len(fused) == 1
-        assert [c.kind for c in fused[0].checks] == [
-            "size", "overlap", "sum-audit"
-        ]
-        assert [c.index for c in fused[0].checks] == [0, 1, 2]
-        assert not any(isinstance(n, PolicyCheck) for n in plan.nodes)
+        checks = [n for n in plan.nodes if isinstance(n, PolicyCheck)]
+        assert [c.index for c in checks] == [0, 2, 3]
+        assert plan.passes == ("prune-noop-nodes",)
 
-    def test_lone_size_check_is_not_fused(self):
-        policies = [QuerySetSizeControl(5)]
-        plan = optimize(compile_query(QUERY, policies), policies)
-        assert not any(isinstance(n, FusedAuditCheck) for n in plan.nodes)
-        assert "fuse-audit-checks" not in plan.passes
-
-    def test_lone_overlap_check_is_fused_for_incremental_scanning(self):
-        policies = [OverlapControl(40)]
-        plan = optimize(compile_query(QUERY, policies), policies)
-        fused = [n for n in plan.nodes if isinstance(n, FusedAuditCheck)]
-        assert [c.kind for c in fused[0].checks] == ["overlap"]
-
-    def test_policy_subclasses_are_never_fused(self):
+    def test_a_policy_subclass_runs_its_own_review(self):
+        # No check is decided by type: a size-control subclass that
+        # overrides review is asked through that override.
         class StricterSize(QuerySetSizeControl):
             def review(self, query, mask, data, history):
                 return "always refused"
 
-        policies = [StricterSize(5), OverlapControl(40)]
-        plan = optimize(compile_query(QUERY, policies), policies)
-        fused = [n for n in plan.nodes if isinstance(n, FusedAuditCheck)]
-        assert [c.kind for c in fused[0].checks] == ["overlap"]
-        assert any(
-            isinstance(n, PolicyCheck) and n.index == 0 for n in plan.nodes
-        )
+        pop = patients(100, seed=1)
+        q = "SELECT COUNT(*) WHERE height > 170"
+        assert not StatisticalDatabase(
+            pop, [QuerySetSizeControl(5)]
+        ).ask(q).refused
+        db = StatisticalDatabase(pop, [StricterSize(5)])
+        assert db.ask(q).reason == "size-control(k=5): always refused"
 
-    def test_intervening_custom_policy_splits_the_fusion_run(self):
-        class CustomReview(NoisePerturbation):
+    def test_checks_run_in_stack_order_up_to_the_first_refusal(self):
+        calls = []
+
+        class Verdict(ProtectionPolicy):
+            def __init__(self, name, reason):
+                self.name, self.reason = name, reason
+
             def review(self, query, mask, data, history):
-                return None
+                calls.append(self.name)
+                return self.reason
 
-        policies = [QuerySetSizeControl(5), CustomReview(1.0),
-                    OverlapControl(40)]
-        nodes = compile_query(QUERY, policies).nodes
-        nodes = prune_noop_nodes(nodes, policies)
-        fused_nodes = fuse_audit_checks(nodes, policies)
-        fused = [n for n in fused_nodes if isinstance(n, FusedAuditCheck)]
-        # The custom review sits between them: only the overlap check
-        # fuses (for incremental scanning); the size check stays plain.
-        assert [c.kind for f in fused for c in f.checks] == ["overlap"]
+        db = StatisticalDatabase(patients(100, seed=1), [
+            Verdict("a", None), Verdict("b", "no"), Verdict("c", "never"),
+        ])
+        assert db.ask("SELECT COUNT(*) WHERE height > 170").reason == "b: no"
+        assert calls == ["a", "b"]
+        assert [entry.answered for entry in db.history] == [False]
 
     def test_coalesce_dedupes_blocks_and_preserves_routing(self):
         nodes = (
@@ -160,8 +150,8 @@ class TestOptimizerPasses:
     def test_only_changing_passes_are_recorded(self):
         policies = [QuerySetSizeControl(5)]
         plan = optimize(compile_query(QUERY, policies), policies)
-        # size-only: pruning removes the no-op transform; nothing fuses,
-        # nothing coalesces.
+        # size-only: pruning removes the no-op transform; nothing
+        # coalesces.
         assert plan.passes == ("prune-noop-nodes",)
 
 
@@ -172,17 +162,6 @@ class TestPlanRendering:
         text = plan.render()
         assert text.startswith("plan: demo\npasses: prune-noop-nodes")
         assert "  1. ScanMask" in text
-
-    def test_fused_audit_describe_names_every_check(self):
-        node = FusedAuditCheck((
-            AuditCheck("size", 0, "size-control(k=5)", k=5),
-            AuditCheck("overlap", 1, "overlap-control(r=40)",
-                       max_overlap=40, chunk=2048),
-        ))
-        text = node.describe()
-        assert "2 checks" in text
-        assert "size k=5" in text
-        assert "overlap r=40 chunk=2048" in text
 
     def test_fused_pir_describe_counts_the_dedupe(self):
         node = FusedPirFetch((3, 1, 4, 5), requested=5,
@@ -198,7 +177,7 @@ class TestPlanRendering:
         text = db.explain("SELECT SUM(blood_pressure) WHERE height > 170")
         assert "== before optimization ==" in text
         assert "== after optimization" in text
-        assert "FusedAudit" in text
+        assert "PolicyCheck   [1] overlap-control(r=40)" in text
         assert "cache key:" in text
 
 
@@ -224,6 +203,60 @@ class TestPlanCache:
         db.policies = [QuerySetSizeControl(6)]
         db.ask(q)
         assert db.plan_cache_misses == 2
+
+    def test_an_equal_new_stack_reuses_the_cached_plan(self):
+        """The key is structural: fresh policies of the same types and
+        names hit the cache, and the plan runs the new objects."""
+        db = StatisticalDatabase(patients(100, seed=1),
+                                 [QuerySetSizeControl(5)])
+        q = "SELECT COUNT(*) WHERE height > 170"
+        assert not db.ask(q).refused
+        db.policies = [QuerySetSizeControl(5)]
+        assert not db.ask(q).refused
+        assert (db.plan_cache_hits, db.plan_cache_misses) == (1, 1)
+        db.policies[0].k = 100  # in place: the name, so the key, stays
+        assert db.ask(q).reason.startswith(
+            "size-control(k=5): query set too small"
+        )
+        assert (db.plan_cache_hits, db.plan_cache_misses) == (2, 1)
+
+    def test_a_new_policy_never_runs_a_freed_policys_plan(self):
+        """A policy that reuses a freed policy's ``id`` still makes a
+        new stack: its own transform runs, not the old stack's plan."""
+        data = Dataset({"x": np.arange(100.0)})
+        db = StatisticalDatabase(data, [QuerySetSizeControl(3)], seed=0)
+        q = "SELECT SUM(x) WHERE x < 50"
+        assert db.ask(q).value == 1225.0
+        freed = id(db.policies[0])
+        db.policies = [NoisePerturbation(1000.0)]
+        # Allocate look-alikes, keeping each alive, until one is given
+        # the freed size control's id; none is while the planner still
+        # holds that policy.
+        held = []
+        for _ in range(1 << 14):
+            noise = NoisePerturbation(1000.0)
+            if id(noise) == freed:
+                break
+            held.append(noise)
+        db.policies = [noise]
+        assert db.ask(q).value != 1225.0  # the noise ran
+        assert (db.plan_cache_hits, db.plan_cache_misses) == (0, 2)
+
+    def test_a_same_named_subclass_gets_its_own_plan(self):
+        """A subclass named like its base, with the same display name,
+        still makes a new stack: the review it adds runs."""
+
+        def review(self, query, mask, data, history):
+            return "always refused"
+
+        refusing = type("NoisePerturbation", (NoisePerturbation,),
+                        {"review": review})
+        data = Dataset({"x": np.arange(100.0)})
+        db = StatisticalDatabase(data, [NoisePerturbation(0.0)])
+        q = "SELECT SUM(x) WHERE x < 50"
+        assert db.ask(q).value == 1225.0
+        db.policies = [refusing(0.0)]
+        assert db.ask(q).reason == "perturbation(sd=0): always refused"
 
     def test_planner_without_cache_always_compiles(self):
         db = StatisticalDatabase(patients(100, seed=1),
@@ -292,16 +325,6 @@ class TestWordLogStores:
 
 
 class TestEnvironmentValidation:
-    @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
-    def test_overlap_chunk_misconfiguration_raises(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_QDB_OVERLAP_CHUNK", value)
-        with pytest.raises(ValueError, match="REPRO_QDB_OVERLAP_CHUNK"):
-            OverlapControl(10)
-
-    def test_overlap_chunk_override_is_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QDB_OVERLAP_CHUNK", "64")
-        assert OverlapControl(10).chunk == 64
-
     @pytest.mark.parametrize("value", ["disk", "mmap", "RAMM"])
     def test_unknown_history_store_raises(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_QDB_HISTORY_STORE", value)
@@ -334,7 +357,7 @@ class TestExplainCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "== before optimization ==" in out
-        assert "FusedAudit" in out
+        assert "PolicyCheck   [2] sum-audit" in out
         assert "passes:" in out
         assert "cache key:" in out
 

@@ -1,20 +1,18 @@
-"""The optimized plan path must match the per-policy pipeline, decision
+"""The plan path must match the seed's per-policy pipeline, decision
 for decision.
 
 The query planner (:mod:`repro.plan`) is only allowed to change *how*
-the engine reaches a decision — fused audit passes, cached plans,
-incremental overlap scans, memmap-backed histories — never the decision
-itself.  The reference is the same stack built from the unfusable twins
-of :mod:`benchmarks.seed_replicas`: the compiler fuses exact types only,
-so that stack runs one plain check per policy through each policy's own
-``review`` (the per-policy, or "legacy", pipeline).  Randomized
-workloads are replayed through both under every policy stack (including
-the stochastic transform policies, whose rng streams must stay aligned),
-with injected backend faults, and with the packed history on the memmap
-store; every answer, refusal string, interval, counter and audit record
-must be identical.  Both sides share the executor's transform tail, so
-the golden fingerprints and the transform-stack digests below pin the
-absolute decisions as well.
+the engine reaches a decision — pruned no-op nodes, cached plans,
+memmap-backed histories — never the decision itself.  The reference is
+the same stack with the frozen seed replicas of
+:mod:`benchmarks.seed_replicas` in place of the overlap control and the
+sum audit.  Randomized workloads are replayed through both under every
+policy stack (including the stochastic transform policies, whose rng
+streams must stay aligned), with injected backend faults, and with the
+packed history on the memmap store; every answer, refusal string,
+interval, counter and audit record must be identical.  Both sides share
+the executor's transform tail, so the golden fingerprints and the
+transform-stack digests below pin the absolute decisions as well.
 """
 
 import hashlib
@@ -22,10 +20,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from benchmarks.seed_replicas import unfusable
+from benchmarks.seed_replicas import SeedOverlapControl, SeedSumAuditPolicy
 from repro.data import Dataset, patients
 from repro.faults import Fault, FaultPlan, ReplicatedBackend
-from repro.plan import FusedAuditCheck
 from repro.qdb import (
     CamouflageIntervals,
     Degraded,
@@ -68,16 +65,18 @@ STACKS = {
 }
 
 
-def fused_nodes(db):
-    """How many fused audit nodes the plans *db* has cached contain."""
-    return sum(
-        isinstance(node, FusedAuditCheck)
-        for plan, _ in db._planner.cache.values()
-        for node in plan.nodes
-    )
+def seed_stack(policies: list) -> list:
+    """*policies* with each overlap control and sum audit replaced by its
+    frozen seed replica (same parameters); other policies are kept."""
+    return [
+        SeedOverlapControl(p.max_overlap) if type(p) is OverlapControl
+        else SeedSumAuditPolicy(p.tolerance) if type(p) is SumAuditPolicy
+        else p
+        for p in policies
+    ]
 
 
-def assert_plan_matches_unfused(make_plan_db, make_ref_db, queries):
+def assert_plan_matches_seed(make_plan_db, make_ref_db, queries):
     """Replay *queries* through both engines; every outcome must match."""
     db_plan, db_ref = make_plan_db(), make_ref_db()
     for query in queries:
@@ -95,7 +94,6 @@ def assert_plan_matches_unfused(make_plan_db, make_ref_db, queries):
     ]
     for ea, eb in zip(db_plan.history, db_ref.history):
         np.testing.assert_array_equal(ea.mask, eb.mask)
-    assert fused_nodes(db_ref) == 0
     return db_plan, db_ref
 
 
@@ -106,16 +104,13 @@ def test_plan_path_matches_legacy_under_every_stack(stack, seed):
     n = int(rng.integers(60, 250))
     pop = patients(n, seed=seed)
     queries = random_workload(pop, rng, 70)
-    db_plan, _ = assert_plan_matches_unfused(
+    db_plan, _ = assert_plan_matches_seed(
         lambda: StatisticalDatabase(pop, STACKS[stack](), seed=0),
-        lambda: StatisticalDatabase(pop, unfusable(STACKS[stack]()), seed=0),
+        lambda: StatisticalDatabase(pop, seed_stack(STACKS[stack]()), seed=0),
         queries,
     )
-    # The comparison must have exercised the planner, not bypassed it,
-    # and (a lone size check stays plain) compared fused with unfused.
+    # The comparison must have exercised the planner, not bypassed it.
     assert db_plan.plan_cache_hits + db_plan.plan_cache_misses > 0
-    if stack not in ("size", "stochastic"):
-        assert fused_nodes(db_plan) > 0
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -129,7 +124,7 @@ def test_ask_batch_matches_legacy(seed):
         QuerySetSizeControl(3), OverlapControl(50), SumAuditPolicy()
     ]
     db_plan = StatisticalDatabase(pop, stack(), seed=0)
-    db_ref = StatisticalDatabase(pop, unfusable(stack()), seed=0)
+    db_ref = StatisticalDatabase(pop, seed_stack(stack()), seed=0)
     for a, b in zip(db_plan.ask_batch(workload), db_ref.ask_batch(workload)):
         assert a.refused == b.refused
         assert a.reason == b.reason
@@ -139,8 +134,8 @@ def test_ask_batch_matches_legacy(seed):
 
 
 def test_overlap_threshold_lowered_in_place():
-    """Lowering ``max_overlap`` in place must invalidate the history
-    prefix the fused scan already cleared under the old threshold."""
+    """Lowering ``max_overlap`` in place decides the next review against
+    the whole history under the new threshold."""
     data = Dataset({"x": np.arange(100.0)})
     probe = "SELECT SUM(x) WHERE x >= 45 AND x < 60"  # overlaps C in 5
 
@@ -153,9 +148,9 @@ def test_overlap_threshold_lowered_in_place():
         return [(a.refused, a.reason) for a in answers]
 
     stack = lambda: [OverlapControl(10), QuerySetSizeControl(20)]
-    fused = session(stack())
-    assert fused == session(unfusable(stack()))
-    assert fused == [
+    answers = session(stack())
+    assert answers == session(seed_stack(stack()))
+    assert answers == [
         (False, None),
         (True, "size-control(k=20): query set too small (15 < 20)"),
         (True, "overlap-control(r=10): query set overlaps a previous one "
@@ -176,14 +171,14 @@ class TestFaultEquivalence:
         data = Dataset({"x": np.arange(30.0)})
         faults = [Fault("crash", "qdb.replica:0", after=0)]
         queries = ["SELECT SUM(x) WHERE x > 5", "SELECT AVG(x) WHERE x < 25"]
-        db_plan, db_ref = assert_plan_matches_unfused(
+        db_plan, db_ref = assert_plan_matches_seed(
             lambda: StatisticalDatabase(
                 self._backend(data, faults, 2, seed=1),
                 policies=[OverlapControl(25)],
             ),
             lambda: StatisticalDatabase(
                 self._backend(data, faults, 2, seed=1),
-                policies=unfusable([OverlapControl(25)]),
+                policies=[SeedOverlapControl(25)],
             ),
             queries,
         )
@@ -198,14 +193,14 @@ class TestFaultEquivalence:
             "SELECT SUM(x) WHERE x > 5",
             "SELECT AVG(x) WHERE x < 12",
         ]
-        db_plan, db_ref = assert_plan_matches_unfused(
+        db_plan, db_ref = assert_plan_matches_seed(
             lambda: StatisticalDatabase(
                 self._backend(data, faults, 1, seed=0),
                 policies=[QuerySetSizeControl(2)],
             ),
             lambda: StatisticalDatabase(
                 self._backend(data, faults, 1, seed=0),
-                policies=unfusable([QuerySetSizeControl(2)]),
+                policies=[QuerySetSizeControl(2)],
             ),
             queries,
         )
@@ -242,14 +237,14 @@ class TestMemmapHistoryEquivalence:
         pop = patients(150, seed=7)
         queries = random_workload(pop, rng, 60)
         stack = lambda: [OverlapControl(40), SumAuditPolicy()]
-        db_mm, _ = assert_plan_matches_unfused(
+        db_mm, _ = assert_plan_matches_seed(
             lambda: StatisticalDatabase(
                 pop, stack(), seed=0, history_store="memmap",
             ),
-            lambda: StatisticalDatabase(pop, unfusable(stack()), seed=0),
+            lambda: StatisticalDatabase(pop, seed_stack(stack()), seed=0),
             queries,
         )
-        assert fused_nodes(db_mm) > 0
+        assert db_mm.history.answered_masks.store_kind == "MemmapWordLog"
 
 
 def _hex(value):
@@ -273,8 +268,8 @@ class TestGoldenSessionOnPlanPath:
     """Frozen fingerprints of the golden session beyond the two that
     ``tests/test_qdb_perf_equivalence.py::TestGoldenSession`` checks.
 
-    These pin the *absolute* decisions: the fused and unfused plans
-    agreeing is not enough if the tail they share drifts.
+    These pin the *absolute* decisions: the plan path agreeing with the
+    seed replicas is not enough if the tail they share drifts.
     """
 
     #: Recorded while the engine still kept a separate per-policy
@@ -294,8 +289,8 @@ class TestGoldenSessionOnPlanPath:
             OVERLAP_GOLDEN,
         )
 
-    def test_three_policy_fused_stack_is_deterministic(self):
-        """The fused audit node answers exactly like two fresh runs."""
+    def test_three_policy_audit_stack_is_deterministic(self):
+        """The audit trio answers exactly alike in two fresh runs."""
         stack = lambda: [
             QuerySetSizeControl(3), OverlapControl(40), SumAuditPolicy()
         ]
@@ -303,13 +298,17 @@ class TestGoldenSessionOnPlanPath:
             golden_fingerprint(golden_session(stack()))
         )
 
-    @pytest.mark.parametrize("fused", [True, False],
-                             ids=["fused", "unfused"])
     @pytest.mark.parametrize("stack", sorted(TRANSFORM_STACK_DIGESTS))
-    def test_transform_stack_digest(self, stack, fused):
-        policies = STACKS[stack]()
-        if not fused:
-            unfusable(policies)
+    def test_transform_stack_digest(self, stack):
+        assert answer_digest(golden_session(STACKS[stack]())) == (
+            self.TRANSFORM_STACK_DIGESTS[stack]
+        )
+
+    @pytest.mark.parametrize("stack", ["audit-trio", "kitchen-sink"])
+    def test_transform_stack_digest_on_seed_replicas(self, stack):
+        """The seed replicas of the overlap control and the sum audit
+        reach the same pinned digest as the engine's own policies."""
+        policies = seed_stack(STACKS[stack]())
         assert answer_digest(golden_session(policies)) == (
             self.TRANSFORM_STACK_DIGESTS[stack]
         )

@@ -262,12 +262,6 @@ def _ref_format(path, spans, top=10):
                 f"{entry['misses']} misses "
                 f"({entry['hit_rate']:.1%} hit rate)"
             )
-        if caches["fused_rows_skipped"]:
-            lines.append(
-                f"  fused audit skipped "
-                f"{caches['fused_rows_skipped']:,} already-cleared "
-                f"history rows"
-            )
     refusals = _ref_refusal_decisions(spans)
     lines += ["", f"refusal decisions: {len(refusals)}"]
     for decision in refusals:
