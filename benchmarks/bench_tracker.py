@@ -7,6 +7,8 @@ and output perturbation [14] — all of which require the owner to see the
 queries (no user privacy).
 """
 
+import itertools
+
 from repro.data import patients
 from repro.qdb import (
     GeneralTracker,
@@ -29,6 +31,9 @@ def _setup():
 
 def test_s3a_tracker_arms_race(benchmark):
     pop, targets = _setup()
+    # Each target's database draws its own noise: one seed for all would
+    # repeat one noise draw per target instead of sampling the defence.
+    noise_seeds = itertools.count(1)
     defences = {
         "no protection": lambda: StatisticalDatabase(pop),
         "size control (k=5)": lambda: StatisticalDatabase(
@@ -38,7 +43,8 @@ def test_s3a_tracker_arms_race(benchmark):
             pop, [QuerySetSizeControl(5), SumAuditPolicy()]
         ),
         "size control + noise": lambda: StatisticalDatabase(
-            pop, [QuerySetSizeControl(5), NoisePerturbation(20.0)], seed=1
+            pop, [QuerySetSizeControl(5), NoisePerturbation(20.0)],
+            seed=next(noise_seeds),
         ),
         "size control + sampling": lambda: StatisticalDatabase(
             pop, [QuerySetSizeControl(5), RandomSampleQueries(0.9)]

@@ -793,10 +793,13 @@ def _serving_qps(n: int, shards: int) -> Callable[[], Callable[[], object]]:
     """Sustained sharded throughput: submit a mixed op burst, await all.
 
     One rep pipelines :data:`_SERVING_QPS_OPS` operations (3:1
-    statistical queries to 4-index PIR scatters, 16 sessions) through
-    the resident runtime's admission + router + shard worker pools and
-    blocks until every future resolves — the serving path end to end,
-    including cross-thread handoff, batch grouping, and `ask_batch`
+    statistical queries to 4-index PIR retrievals, 16 sessions) through
+    the resident runtime's admission + router + shards and blocks until
+    every future resolves — the serving path end to end.  A query whose
+    shard is idle is decided on this thread, which then yields the CPU,
+    so the workers drain the retrievals in between: most queries (about
+    11 in 12) are decided here, and the rest queue with the retrievals
+    for cross-thread hand-offs, batch grouping and `ask_batch`
     dispatch.  ``results["serving"]["qps"]`` derives from this kernel's
     median rep time.
     """
@@ -831,8 +834,10 @@ def _serving_p99(n: int, shards: int) -> Callable[[], Callable[[], object]]:
     """Tail latency of the serialized request path.
 
     One rep issues :data:`_SERVING_P99_OPS` blocking ``runtime.ask``
-    calls (no pipelining: each op pays the full submit -> queue ->
-    worker -> future round trip alone) and records every per-op wall
+    calls (no pipelining: each op finds its shard idle unless a worker
+    is still finishing earlier work, so it is decided on this thread
+    and pays submit, admission, the shard claim and the decision, with
+    no queue round trip) and records every per-op wall
     time; ``results["serving"]["p99_seconds"]`` is the 99th percentile
     over all reps and trials, gated against
     ``MAX_SERVING_P99_NORMALIZED`` under ``--check``.

@@ -13,6 +13,8 @@ walks the classical arms race:
 Run:  python examples/interactive_database_defense.py
 """
 
+import itertools
+
 from repro.data import patients
 from repro.qdb import (
     CamouflageIntervals,
@@ -60,7 +62,9 @@ def main() -> None:
     print(f"   ...but the tracker infers   -> {result.inferred_value:.0f} mmHg "
           f"(truth {result.true_value:.0f}; queries={result.queries_asked})")
 
-    # 3-4. Success rate across ten targets under stronger policies.
+    # 3-4. Success rate across ten targets under stronger policies.  Each
+    # target's noisy database draws its own noise.
+    noise_seeds = itertools.count(1)
     policies = {
         "size control only": lambda: StatisticalDatabase(
             pop, [QuerySetSizeControl(5)]
@@ -69,7 +73,8 @@ def main() -> None:
             pop, [QuerySetSizeControl(5), SumAuditPolicy()]
         ),
         "+ output noise (sd=20)": lambda: StatisticalDatabase(
-            pop, [QuerySetSizeControl(5), NoisePerturbation(20.0)], seed=1
+            pop, [QuerySetSizeControl(5), NoisePerturbation(20.0)],
+            seed=next(noise_seeds),
         ),
         "+ random sampling (90%)": lambda: StatisticalDatabase(
             pop, [QuerySetSizeControl(5), RandomSampleQueries(0.9)]

@@ -91,7 +91,10 @@ class RamWordLog(WordLogStore):
 
     def append(self, row: np.ndarray) -> None:
         if self._size == self._rows.shape[0]:
-            self._rows = np.vstack([self._rows, np.zeros_like(self._rows)])
+            # Rows past the size are never read: copy only the live ones.
+            grown = np.empty((2 * self._size, self.n_words), dtype=np.uint64)
+            grown[: self._size] = self._rows
+            self._rows = grown
         self._rows[self._size] = row
         self._size += 1
 

@@ -264,9 +264,9 @@ class PackedMaskLog:
     def append(self, mask: np.ndarray) -> None:
         """Append one answered query-set mask (boolean, length n_records)."""
         if self._size == self._counts.shape[0]:
-            self._counts = np.concatenate(
-                [self._counts, np.zeros_like(self._counts)]
-            )
+            grown = np.empty(2 * self._size, dtype=np.int64)
+            grown[: self._size] = self._counts
+            self._counts = grown
         self._store.append(self.pack(mask))
         self._counts[self._size] = int(np.count_nonzero(mask))
         self._size += 1
@@ -286,21 +286,42 @@ class QueryHistory(list):
     list, so existing policies and tests are untouched; policies that know
     about the packed representation (``OverlapControl``) pick it up via
     the ``answered_masks`` attribute and skip the per-entry Python loop.
+
+    Answered masks are packed on read: :meth:`record` only notes the
+    mask, and reading ``answered_masks`` packs the masks recorded since
+    the last read, oldest first.  A stack without an overlap scan never
+    reads the log, so it never packs.  :attr:`n_answered` counts answered
+    entries without packing.
     """
 
     def __init__(self, n_records: int,
                  store: str | WordLogStore | None = None,
                  ram_budget: int | None = None):
         super().__init__()
-        self.answered_masks = PackedMaskLog(
+        self._packed = PackedMaskLog(
             n_records, store=store, ram_budget=ram_budget
         )
+        self._unpacked: list[np.ndarray] = []
+
+    @property
+    def answered_masks(self) -> PackedMaskLog:
+        """Every answered mask recorded so far, packed."""
+        if self._unpacked:
+            for mask in self._unpacked:
+                self._packed.append(mask)
+            self._unpacked.clear()
+        return self._packed
+
+    @property
+    def n_answered(self) -> int:
+        """Answered entries recorded so far."""
+        return len(self._packed) + len(self._unpacked)
 
     def record(self, entry: LogEntry) -> None:
-        """Append an entry, mirroring answered masks into the packed log."""
+        """Append an entry; an answered mask is packed on the next read."""
         self.append(entry)
         if entry.answered:
-            self.answered_masks.append(entry.mask)
+            self._unpacked.append(entry.mask)
 
 
 class ProtectionPolicy(abc.ABC):
@@ -818,7 +839,10 @@ class SumAuditPolicy(ProtectionPolicy):
             self._buffer = np.zeros((16, n), dtype=np.float64)
             self._col_norms = np.zeros(n, dtype=np.float64)
         elif self._rank == self._buffer.shape[0]:
-            self._buffer = np.vstack([self._buffer, np.zeros_like(self._buffer)])
+            # Rows past the rank are never read: copy only the live ones.
+            grown = np.empty((2 * self._rank, n), dtype=np.float64)
+            grown[: self._rank] = self._buffer
+            self._buffer = grown
         self._buffer[self._rank] = direction
         self._rank += 1
         self._col_norms += direction * direction

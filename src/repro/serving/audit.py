@@ -107,16 +107,15 @@ class CrossShardAuditView:
     def answered(self) -> int:
         """Answered queries committed to the shared history."""
         with self.lock:
-            return len(self.history.answered_masks)
+            return self.history.n_answered
 
 
 class CrossShardAuditPolicy(ProtectionPolicy):
     """Per-shard adapter delegating review/transform to the shared view.
 
-    Installed last in each shard's policy stack.  The plan compiler
-    treats it as an opaque policy (it is not one of the fusable exact
-    types), so it always executes as a plain check delegating to its
-    own ``review``.  Refusal reasons surface as
+    Installed last in each shard's policy stack.  Like every policy it
+    runs as one ``PolicyCheck`` node of the shard's plan, whose
+    ``review`` delegates to the shared view.  Refusal reasons surface as
     ``"cross-shard-audit: <shared policy>: <why>"``.
     """
 

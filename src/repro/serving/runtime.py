@@ -13,6 +13,20 @@ reads every owning slice in ascending shard order, each under the
 slice's own lock, and resolves the future with the decoded values in
 request order.
 
+Caller-run decisions.  Every served decision takes the one cross-shard
+decision lock, so handing a query to its shard's worker adds no
+parallelism, only two thread wake-ups.  When the session's shard is
+idle — nothing queued and nothing running — :meth:`ServingRuntime.
+submit` claims it and decides the query on the calling thread; a busy
+shard queues it as before.  The claim raises the queue's
+``unfinished_tasks`` from 0 under the queue's own mutex, so ``drain``
+counts the decision and a later submission queues behind it, and a
+query never overtakes one of its session's that a worker has dequeued
+but not finished (DESIGN.md §12).  After the decision the calling
+thread yields the CPU once, so several client threads take turns
+instead of one of them holding the GIL for a whole switch interval.
+PIR retrievals always queue.
+
 Privacy under sharding.  All shards review against one
 :class:`~repro.serving.audit.CrossShardAuditView` (shared global history
 + overlap/sum-audit policies) and hold its re-entrant lock across each
@@ -42,6 +56,7 @@ faulted-shard invariant.
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -75,6 +90,15 @@ from .router import ConsistentHashRouter
 __all__ = ["ServingRuntime"]
 
 _STOP = object()
+
+#: Called after every caller-run decision.  A caller-run thread never
+#: blocks, so without a yield it keeps the GIL from one op to the next
+#: until the interpreter's switch interval (5 ms) forces a hand-over,
+#: and every other client thread and shard worker waits that long.
+#: Giving up the CPU once per decision gives them the turn a worker
+#: hand-off gave them by blocking on its future.  Without
+#: ``os.sched_yield`` (Windows) the decision simply returns.
+_yield_cpu = getattr(os, "sched_yield", lambda: None)
 
 
 class _Request:
@@ -173,25 +197,70 @@ class Shard:
                    and batch[end].kind == head.kind
                    and batch[end].session == head.session):
                 end += 1
-            group = batch[start:end]
-            try:
-                if head.kind == "qdb":
-                    self._run_qdb(head.session, group)
-                else:
-                    self._run_pir(group)
-            except BaseException as exc:  # engine bugs -> caller, not hang
-                for request in group:
-                    if request.future.done():
-                        # Answered before the failure: keep its result
-                        # and its one request span.
-                        continue
-                    request.future.set_exception(exc)
-                    if request.trace is not None:
-                        request.trace.mark("done")
-                        requesttrace.emit_request_span(
-                            request.trace, outcome="error", reason=repr(exc)
-                        )
+            self._run_group(batch[start:end])
             start = end
+
+    def _run_group(self, group: list[_Request]) -> BaseException | None:
+        """Run one same-session group; returns its failure, or None.
+
+        A failure resolves the group's futures, so a worker never dies:
+        requests answered before it keep their result and their one
+        request span, and the rest resolve with the exception.
+        """
+        head = group[0]
+        try:
+            if head.kind == "qdb":
+                self._run_qdb(head.session, group)
+            else:
+                self._run_pir(group)
+        except BaseException as exc:  # engine bugs -> caller, not hang
+            for request in group:
+                if request.future.done():
+                    continue
+                request.future.set_exception(exc)
+                if request.trace is not None:
+                    request.trace.mark("done")
+                    requesttrace.emit_request_span(
+                        request.trace, outcome="error", reason=repr(exc)
+                    )
+            return exc
+        return None
+
+    # -- caller-run decisions ------------------------------------------------
+
+    def try_decide_here(self, request: _Request) -> bool:
+        """Decide a query on the calling thread if the shard is idle.
+
+        The shard is idle when nothing is queued or running:
+        ``unfinished_tasks`` counts both, because a worker marks a
+        request done only after deciding it.  Raising it from 0 under
+        the queue's own mutex claims the shard, so
+        :meth:`ServingRuntime.drain` waits for the decision and every
+        later submission queues behind it; the ``finally`` that
+        releases the claim starts right after it is taken.  Returns
+        False, having done nothing, when the shard is busy.
+
+        An engine error resolves the future, as on a worker.  A
+        ``BaseException`` that is not an ``Exception`` (a
+        ``KeyboardInterrupt`` delivered to this thread) also propagates
+        to the caller.
+        """
+        tasks = self.queue
+        with tasks.mutex:
+            if tasks.unfinished_tasks:
+                return False
+            tasks.unfinished_tasks = 1
+        try:
+            trace = request.trace
+            if trace is not None:
+                trace.queue_depth = 0
+                trace.enqueue = trace.dequeue = time.perf_counter()
+            failure = self._run_group([request])
+        finally:
+            tasks.task_done()
+        if failure is not None and not isinstance(failure, Exception):
+            raise failure
+        return True
 
     def _run_qdb(self, session: str, group: list[_Request]) -> None:
         queries = [request.payload for request in group]
@@ -329,7 +398,8 @@ class ServingRuntime:
     auto_start:
         When False, workers start on the first explicit :meth:`start`,
         also inside a ``with`` block (lets tests fill queues to force
-        backpressure).
+        backpressure); until then every query queues, none is decided
+        on the calling thread.
     """
 
     def __init__(self, data, *, shards: int | None = None, k: int = 5,
@@ -460,11 +530,26 @@ class ServingRuntime:
         return self.router.shard_for(session)
 
     def submit(self, session: str, query: Query | str) -> Future:
-        """Enqueue one statistical query; resolves to an :class:`Answer`.
+        """Decide or enqueue one statistical query; resolves to an
+        :class:`Answer`.
+
+        When the session's shard is idle (nothing queued or running)
+        on a started runtime, the query is decided here, on the calling
+        thread, and the returned future is already resolved; otherwise
+        it joins the shard's queue.  Either way a session's queries
+        reach the engine in submission order, and :meth:`drain` waits
+        for both.
 
         Overload resolves the future *immediately* with a typed
         :class:`Refusal` (reason prefixed ``"admission: "``) and emits
         the ``refuse-overload`` audit span — it never raises.
+
+        >>> from repro.data.synthetic import patients
+        >>> text = "SELECT COUNT(*) WHERE height > 170"
+        >>> with ServingRuntime(patients(200, seed=0), shards=2) as rt:
+        ...     future = rt.submit("alice", text)
+        ...     future.done(), future.result() == rt.ask("alice", text)
+        (True, True)
         """
         parsed = parse_query(query) if isinstance(query, str) else query
         shard = self.shards[self.router.shard_for(session)]
@@ -472,6 +557,11 @@ class ServingRuntime:
         trace = self._start_trace(session, "qdb", shard.index)
         reason = self.admission.admit(session)
         if reason is None:
+            request = _Request(session, "qdb", parsed, future, trace)
+            if self._started and shard.try_decide_here(request):
+                self._c_admitted.inc()
+                _yield_cpu()
+                return future
             try:
                 if trace is not None:
                     # len() of the underlying deque, not qsize(): taking
@@ -480,9 +570,7 @@ class ServingRuntime:
                     # needs an instantaneous (atomic-read) depth.
                     trace.queue_depth = len(shard.queue.queue)
                     trace.enqueue = time.perf_counter()
-                shard.queue.put_nowait(
-                    _Request(session, "qdb", parsed, future, trace)
-                )
+                shard.queue.put_nowait(request)
             except queue.Full:
                 reason = REASON_QUEUE_FULL
         if reason is not None:

@@ -6,7 +6,8 @@ into a ``thread;frame;frame;... count`` tally — the flamegraph "folded
 stacks" text format (Brendan Gregg's ``flamegraph.pl`` / speedscope
 both ingest it directly).  Because the serving runtime names its workers
 ``serving-shard{i}-w{n}``, samples attribute directly to shard/worker
-without any extra bookkeeping.
+without any extra bookkeeping.  A query decided on the calling thread
+(its shard was idle) samples under the caller's thread name instead.
 
 Nothing samples until a caller starts a profiler (``repro profile``
 and the benchmark runner's profiled pair do).  When running, the only

@@ -6,8 +6,8 @@ collects monotonic timestamps at frozen points along the request path
 (router -> admission -> ingress queue -> worker batch -> cross-shard
 audit and engine, or the PIR slice reads -> gather).  At completion
 the runtime emits one flat ``serving.request`` span whose attrs carry
-the full latency decomposition, and the worker thread sets the trace
-id in ``TRACE_CONTEXT`` so every span the engine or PIR layer opens
+the full latency decomposition, and the thread that decides it sets
+the trace id in ``TRACE_CONTEXT`` so every span the engine or PIR layer opens
 underneath (``qdb.query``, ``pir.retrieve_batch``, ``faults.degrade``)
 is tagged with the same ``trace_id`` — linking the per-subsystem spans
 into one causal tree that
@@ -28,7 +28,10 @@ The frozen stage list (order matters — it is the waterfall order)::
 
 Batched requests share the ``audit``/``kernel`` interval: the engine
 answers the whole consecutive same-session run under one lock hold, so
-every member of the batch reports that shared wall time.  Requests
+every member of the batch reports that shared wall time.  A query
+whose shard is idle is decided on the calling thread: it reports all
+seven stages with a zero ``queue_wait`` and queue depth 0, and the
+calling thread does what a worker would.  Requests
 refused at admission (overload) never reach a queue and report only
 ``admission`` + ``serialize``; the split-tracker refusal is an *engine*
 decision and traverses all seven stages.  A PIR retrieval is one
@@ -132,8 +135,11 @@ class RequestTrace:
     Marks are plain ``perf_counter`` readings stored as one slot per
     point (a marks *dict* per request was measurable GC churn on the
     traced hot path — see the serving_traced_qps overhead gate).  Every
-    request, a PIR retrieval included, is one queue entry on one shard,
-    so each mark is written once.
+    request, a PIR retrieval included, is decided once on one shard: a
+    queue entry a worker picks up, or a query decided on the calling
+    thread while its shard is idle (``enqueue`` and ``dequeue`` are then
+    one reading, so ``queue_wait`` is zero), so each mark is written
+    once.
     """
 
     __slots__ = ("trace_id", "session", "kind", "shard", "queue_depth",

@@ -313,6 +313,72 @@ class TestPackedMaskLog:
             np.testing.assert_array_equal(row, np.packbits(entry.mask))
 
 
+class TestLazyPacking:
+    """``QueryHistory`` packs answered masks only when ``answered_masks``
+    is read, catching up on every mask recorded since the last read."""
+
+    @staticmethod
+    def _count_appends(monkeypatch):
+        appended = []
+        append = PackedMaskLog.append
+
+        def counting(log, mask):
+            appended.append(mask)
+            append(log, mask)
+
+        monkeypatch.setattr(PackedMaskLog, "append", counting)
+        return appended
+
+    def test_reads_catch_up_oldest_first(self, monkeypatch):
+        appended = self._count_appends(monkeypatch)
+        rng = np.random.default_rng(4)
+        query = Query(Aggregate.COUNT, None, Comparison("x", ">", 0.0))
+        history = QueryHistory(70)
+        masks = [rng.random(70) < 0.5 for _ in range(12)]
+        for i, mask in enumerate(masks[:7]):
+            history.record(LogEntry(query, mask, i % 3 != 2, None))
+        assert history.n_answered == 5 and appended == []
+        assert len(history.answered_masks) == 5
+        for i, mask in enumerate(masks[7:], start=7):
+            history.record(LogEntry(query, mask, i % 3 != 2, None))
+        assert history.n_answered == 8 and len(appended) == 5
+        log = history.answered_masks
+        assert len(log) == 8 and len(appended) == 8
+        answered = [m for i, m in enumerate(masks) if i % 3 != 2]
+        np.testing.assert_array_equal(
+            log.rows, [np.packbits(m) for m in answered]
+        )
+        np.testing.assert_array_equal(
+            log.counts, [int(m.sum()) for m in answered]
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overlap_control_added_after_answers_matches_seed(
+            self, monkeypatch, seed):
+        appended = self._count_appends(monkeypatch)
+        rng = np.random.default_rng(seed)
+        pop = patients(int(rng.integers(120, 300)), seed=seed)
+        max_overlap = int(rng.integers(5, pop.n_rows // 3))
+        queries = random_workload(pop, rng, 90)
+        db_new = StatisticalDatabase(pop, [QuerySetSizeControl(3)], seed=0)
+        db_seed = StatisticalDatabase(pop, [QuerySetSizeControl(3)], seed=0)
+        for query in queries[:40]:
+            db_new.ask(query)
+            db_seed.ask(query)
+        assert appended == []
+        answered = db_new.history.n_answered
+        assert answered == sum(e.answered for e in db_seed.history) > 0
+        db_new.policies.append(OverlapControl(max_overlap))
+        db_seed.policies.append(SeedOverlapControl(max_overlap))
+        for query in queries[40:]:
+            a, b = db_new.ask(query), db_seed.ask(query)
+            assert a.refused == b.refused, (query, a, b)
+            assert a.reason == b.reason, (query, a, b)
+            assert same_value(a.value, b.value), (query, a, b)
+        assert db_new.queries_refused == db_seed.queries_refused
+        assert len(appended) >= answered
+
+
 class TestMaskCache:
     def test_repeated_predicates_hit_the_cache(self):
         pop = patients(120, seed=2)

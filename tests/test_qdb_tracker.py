@@ -1,5 +1,7 @@
 """Tests for the Schlörer tracker attack."""
 
+import itertools
+
 import pytest
 
 from repro.data import patients
@@ -117,11 +119,13 @@ class TestAttack:
         assert rate == 0.0
 
     def test_perturbation_blunts_tracker(self, population, unique_targets):
+        # One seed per target: each attack meets its own noise draws.
+        seeds = itertools.count(1)
         rate = tracker_success_rate(
             lambda: StatisticalDatabase(
                 population,
                 [QuerySetSizeControl(5), NoisePerturbation(20.0)],
-                seed=1,
+                seed=next(seeds),
             ),
             population, ["height", "weight"], "blood_pressure",
             unique_targets[:8], tolerance=2.0,

@@ -1,9 +1,12 @@
-"""Request tracing: the ``serving.request`` span of a PIR retrieval, the
-stage-histogram bucket ladder ``STAGE_BUCKETS``, and pinned emission.
+"""Request tracing: the ``serving.request`` span of a PIR retrieval and
+of a query decided on the calling thread, the stage-histogram bucket
+ladder ``STAGE_BUCKETS``, and pinned emission.
 
 A traced retrieval is one request on its session's shard: one span, all
 seven stages, and every slice's ``pir.retrieve_batch`` span linked to it
-by trace id.  The ladder tests check the claim in the ``STAGE_BUCKETS``
+by trace id.  A caller-run query has all seven stages too, with a zero
+``queue_wait`` and queue depth 0, and links to its ``qdb.query`` span.
+The ladder tests check the claim in the ``STAGE_BUCKETS``
 comment of ``repro.telemetry.requesttrace``, on synthetic stage timings
 and on the histograms a traced run feeds.  The emission pins drive
 ``emit_request_span`` directly with hand-marked traces, one per outcome
@@ -443,3 +446,31 @@ class TestTraceSampleKnob:
         monkeypatch.setenv("REPRO_TRACE_SAMPLE", "4")
         ids = self._request_ids(tmp_path / "sampled.jsonl", 9)
         assert ids == [mint_trace_id("alice", seq) for seq in (1, 5, 9)]
+
+
+class TestTracedCallerRunQuery:
+    """A query decided on the calling thread never waits in a queue."""
+
+    def test_seven_stages_no_queue_wait_and_a_linked_query_span(
+            self, tmp_path):
+        path = tmp_path / "qdb.jsonl"
+        with tele.session(path):
+            with ServingRuntime(patients(64, seed=0), shards=2) as runtime:
+                future = runtime.submit(
+                    "alice", "SELECT COUNT(*) WHERE height > 170")
+                assert future.done()
+        report = load_trace(path, validate=True)
+        (request,) = report.requests
+        attrs = request["attrs"]
+        assert attrs["kind"] == "qdb"
+        assert attrs["outcome"] == "answered"
+        assert attrs["queue_depth"] == 0
+        assert attrs["stage_queue_wait_seconds"] == 0.0
+        info = report.waterfall(attrs["trace_id"])
+        assert sorted(info["stages"]) == sorted(TRACE_STAGES)
+        assert info["stages"]["queue_wait"] == 0.0
+        assert [s["name"] for s in info["linked"]] == ["qdb.query"]
+        assert info["linked"] == [
+            s for s in report.by_name["qdb.query"]
+            if s["attrs"].get("trace_id") == attrs["trace_id"]
+        ]

@@ -1,25 +1,32 @@
-"""The sharded serving runtime: routing, admission, cross-shard audit.
+"""The sharded serving runtime: routing, admission, cross-shard audit,
+caller-run decisions and per-session order.
 
 The acceptance scenario: a Schlörer tracker *split* across sessions on
 different shards must be refused by the shared audit view at every shard
 count, the isolated-audit control must lose to the identical attack, and
 every overload refusal must be typed, frozen-reason, and reconstructable
-from the telemetry capture alone.
+from the telemetry capture alone.  A query whose shard is idle is decided
+on the calling thread, and a session's requests reach the engine in
+submission order whichever thread decides them.
 """
 
 import itertools
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.data import patients
 from repro.qdb import (
+    PackedMaskLog,
     QuerySetSizeControl,
     Refusal,
     StatisticalDatabase,
     SumAuditPolicy,
+    parse_query,
     tracker_targets,
 )
 from repro.serving import (
@@ -32,10 +39,13 @@ from repro.serving import (
     TokenBucket,
     split_tracker_attack,
 )
+from repro.serving import runtime as runtime_module
 from repro.telemetry import instrument as tele
 from repro.telemetry.report import load_trace
 
 pytestmark = pytest.mark.usefixtures("clean_telemetry")
+
+PROBE = "SELECT COUNT(*) WHERE height > 170"
 
 
 @pytest.fixture
@@ -130,8 +140,6 @@ class TestTokenBucket:
 
 
 class TestAdmission:
-    PROBE = "SELECT COUNT(*) WHERE height > 170"
-
     def test_rate_limit_refusals_are_typed_audited_and_spanned(self, tmp_path):
         pop, _ = _tracked_population()
         trace = tmp_path / "overload.jsonl"
@@ -139,7 +147,7 @@ class TestAdmission:
             with ServingRuntime(pop, shards=2, session_rate=0.0,
                                 session_burst=2, clock=FakeClock(),
                                 auto_start=False) as runtime:
-                futures = [runtime.submit("greedy", self.PROBE)
+                futures = [runtime.submit("greedy", PROBE)
                            for _ in range(8)]
                 runtime.start()
                 answers = [f.result() for f in futures]
@@ -169,7 +177,7 @@ class TestAdmission:
         with tele.session(trace):
             with ServingRuntime(pop, shards=1, queue_depth=2,
                                 auto_start=False) as runtime:
-                futures = [runtime.submit("burst", self.PROBE)
+                futures = [runtime.submit("burst", PROBE)
                            for _ in range(5)]
                 runtime.start()
                 answers = [f.result() for f in futures]
@@ -192,7 +200,7 @@ class TestAdmission:
         pop, _ = _tracked_population()
         with ServingRuntime(pop, shards=1, queue_depth=1,
                             auto_start=False) as runtime:
-            answers = [runtime.submit("s", self.PROBE) for _ in range(4)]
+            answers = [runtime.submit("s", PROBE) for _ in range(4)]
             runtime.start()
             results = [f.result(timeout=10) for f in answers]
         assert all(hasattr(a, "refused") for a in results)
@@ -452,3 +460,297 @@ class TestRuntimeLifecycle:
             ServingRuntime(pop, shards=0)
         with pytest.raises(ValueError):
             ServingRuntime(pop, shards=1, queue_depth=0)
+
+
+class TestCallerRun:
+    """A query whose shard is idle is decided on the calling thread."""
+
+    @staticmethod
+    def _record_deciders(monkeypatch, shard, deciders):
+        ask_batch = shard.db.ask_batch
+
+        def recording(queries):
+            deciders.append(threading.current_thread().name)
+            return ask_batch(queries)
+
+        monkeypatch.setattr(shard.db, "ask_batch", recording)
+
+    def test_idle_shard_returns_a_resolved_future(self, monkeypatch):
+        pop, _ = _tracked_population()
+        with ServingRuntime(pop, shards=2) as runtime:
+            shard = runtime.shards[runtime.shard_of("alice")]
+            deciders = []
+            self._record_deciders(monkeypatch, shard, deciders)
+            future = runtime.submit("alice", PROBE)
+            assert future.done()
+            assert future.result().ok
+            assert deciders == [threading.current_thread().name]
+            assert shard.queue.unfinished_tasks == 0
+            stats = runtime.stats()
+        assert stats["shards"][shard.index]["processed"] == 1
+        assert stats["admitted"] == 1
+
+    def test_held_back_runtime_queues_until_started(self, monkeypatch):
+        pop, _ = _tracked_population()
+        with ServingRuntime(pop, shards=1, auto_start=False) as runtime:
+            deciders = []
+            self._record_deciders(monkeypatch, runtime.shards[0], deciders)
+            futures = [runtime.submit("alice", PROBE)
+                       for _ in range(3)]
+            assert not any(future.done() for future in futures)
+            assert runtime.shards[0].queue.qsize() == 3
+            runtime.start()
+            assert all(f.result(timeout=30).ok for f in futures)
+        assert deciders and set(deciders) == {"serving-shard0-w0"}
+
+    def test_drain_waits_for_a_caller_run_decision(self, monkeypatch):
+        pop, _ = _tracked_population()
+        with ServingRuntime(pop, shards=1) as runtime:
+            shard = runtime.shards[0]
+            entered, release = threading.Event(), threading.Event()
+            ask_batch = shard.db.ask_batch
+
+            def held(queries):
+                entered.set()
+                assert release.wait(30)
+                return ask_batch(queries)
+
+            monkeypatch.setattr(shard.db, "ask_batch", held)
+            caller = threading.Thread(
+                target=runtime.ask, args=("alice", PROBE),
+                name="caller",
+            )
+            caller.start()
+            drained = threading.Event()
+            drainer = threading.Thread(
+                target=lambda: (runtime.drain(), drained.set())
+            )
+            try:
+                assert entered.wait(30)
+                drainer.start()
+                assert not drained.wait(0.2)
+                # The claimed shard queues the next query behind the claim.
+                queued = runtime.submit("bob", PROBE)
+                assert not queued.done()
+            finally:
+                release.set()
+            caller.join(30)
+            drainer.join(30)
+            assert drained.is_set()
+            assert queued.result(timeout=30).ok
+
+    def test_keyboard_interrupt_reaches_the_caller(self, monkeypatch):
+        pop, _ = _tracked_population()
+        with ServingRuntime(pop, shards=1) as runtime:
+            shard = runtime.shards[0]
+            ask_batch = shard.db.ask_batch
+
+            def interrupted(queries):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(shard.db, "ask_batch", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                runtime.submit("alice", PROBE)
+            # The claim was released: the shard is idle again.
+            assert shard.queue.unfinished_tasks == 0
+            monkeypatch.setattr(shard.db, "ask_batch", ask_batch)
+            assert runtime.submit("alice", PROBE).result().ok
+
+    def test_a_worker_survives_a_keyboard_interrupt(self, monkeypatch):
+        pop, _ = _tracked_population()
+        with ServingRuntime(pop, shards=1, auto_start=False) as runtime:
+            shard = runtime.shards[0]
+            ask_batch = shard.db.ask_batch
+
+            def interrupted(queries):
+                monkeypatch.setattr(shard.db, "ask_batch", ask_batch)
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(shard.db, "ask_batch", interrupted)
+            failed = runtime.submit("alice", PROBE)
+            runtime.start()
+            assert isinstance(failed.exception(timeout=30),
+                              KeyboardInterrupt)
+            runtime.drain()
+            assert all(thread.is_alive() for thread in shard.threads)
+            # A queued query still reaches the surviving worker.
+            monkeypatch.setattr(shard, "try_decide_here",
+                                lambda request: False)
+            assert runtime.submit("alice", PROBE).result(
+                timeout=30).ok
+
+    def test_an_engine_error_resolves_the_future(self, monkeypatch):
+        pop, _ = _tracked_population()
+        with ServingRuntime(pop, shards=1) as runtime:
+            shard = runtime.shards[0]
+
+            def broken(queries):
+                raise RuntimeError("engine bug")
+
+            monkeypatch.setattr(shard.db, "ask_batch", broken)
+            future = runtime.submit("alice", PROBE)
+            assert shard.queue.unfinished_tasks == 0
+        with pytest.raises(RuntimeError, match="engine bug"):
+            future.result(timeout=0)
+
+    def test_a_caller_run_decision_yields_the_cpu_once(self, monkeypatch):
+        """Client threads take turns: each caller-run decision gives up
+        the CPU once; a query decided by a worker does not."""
+        yields = []
+        monkeypatch.setattr(runtime_module, "_yield_cpu",
+                            lambda: yields.append(
+                                threading.current_thread().name))
+        pop, _ = _tracked_population()
+        with ServingRuntime(pop, shards=1, auto_start=False) as runtime:
+            queued = runtime.submit("alice", PROBE)
+            runtime.start()
+            assert queued.result(timeout=30).ok
+            runtime.drain()
+            assert yields == []
+            assert runtime.submit("alice", PROBE).done()
+        assert yields == [threading.current_thread().name]
+
+    def test_audit_answered_counts_without_packing(self, monkeypatch):
+        pop, _ = _tracked_population()
+        appended = []
+        monkeypatch.setattr(PackedMaskLog, "append",
+                            lambda log, mask: appended.append(mask))
+        with ServingRuntime(pop, shards=2, sum_audit=True) as runtime:
+            runtime.ask("a", "SELECT COUNT(*) WHERE height > 170")
+            runtime.ask("b", "SELECT COUNT(*) WHERE weight <= 80")
+            runtime.ask("b", "SELECT COUNT(*)")  # refused: too large
+            assert runtime.view.answered == 2
+            assert runtime.stats()["audit_answered"] == 2
+        assert appended == []
+
+
+class TestSessionOrder:
+    """A session's requests reach the engine in submission order,
+    whether they are decided on the calling thread or by a worker."""
+
+    def test_query_queues_behind_its_sessions_retrieval_in_flight(
+            self, monkeypatch):
+        """The worker holds the retrieval, so the queue is empty but the
+        shard is busy: the session's next query must queue."""
+        pop, _ = _tracked_population()
+        with ServingRuntime(pop, shards=1,
+                            pir_values=list(range(64))) as runtime:
+            shard = runtime.shards[0]
+            events = []
+            entered, release = threading.Event(), threading.Event()
+            read = shard.pir.retrieve_batch_int
+
+            def held(indices, rng=None):
+                entered.set()
+                assert release.wait(30)
+                events.append("pir")
+                return read(indices, rng=rng)
+
+            ask_batch = shard.db.ask_batch
+
+            def recording(queries):
+                events.append(("qdb", threading.current_thread().name))
+                return ask_batch(queries)
+
+            monkeypatch.setattr(shard.pir, "retrieve_batch_int", held)
+            monkeypatch.setattr(shard.db, "ask_batch", recording)
+            retrieval = runtime.submit_pir("s", [3], seed=1)
+            try:
+                assert entered.wait(30)
+                assert shard.queue.qsize() == 0
+                query = runtime.submit("s", PROBE)
+                assert not query.done()
+            finally:
+                release.set()
+            assert retrieval.result(timeout=30) == [3]
+            assert query.result(timeout=30).ok
+        assert events == ["pir", ("qdb", "serving-shard0-w0")]
+
+    def test_pipelined_sessions_keep_submission_order_under_stress(
+            self, monkeypatch):
+        """More client threads than cores (up to 16) pipeline queries
+        and retrievals onto two shared shards, with a short switch interval
+        and a queue deep enough to refuse nothing.  Every session's
+        requests must reach the engine in the order it submitted them,
+        every future must resolve, and the counters must be exact."""
+        pop, _ = _tracked_population()
+        clients = min(16, (os.cpu_count() or 1) + 2)
+        deadline = time.monotonic() + 8.0
+        trials = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            while trials < 20 and time.monotonic() < deadline:
+                trials += 1
+                self._one_trial(monkeypatch, pop, clients)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _one_trial(monkeypatch, pop, clients, per_client=96):
+        texts = [f"SELECT COUNT(*) WHERE height > {150 + i % 40}"
+                 for i in range(per_client)]
+        events = []  # (session, query or retrieval seed), in engine order
+        submitted: dict[str, list] = {}
+        futures: dict[str, list] = {}
+        with ServingRuntime(pop, shards=2,
+                            queue_depth=clients * per_client,
+                            pir_values=list(range(64))) as runtime:
+            for shard in runtime.shards:
+                ask_batch = shard.db.ask_batch
+
+                def recording(queries, _db=shard.db, _ask=ask_batch):
+                    for query in queries:
+                        events.append((_db.session_label, query))
+                    return _ask(queries)
+
+                read = shard.pir.retrieve_batch_int
+
+                def reading(indices, rng=None, _read=read):
+                    events.append((f"client-{rng // 1000}", rng))
+                    return _read(indices, rng=rng)
+
+                monkeypatch.setattr(shard.db, "ask_batch", recording)
+                monkeypatch.setattr(shard.pir, "retrieve_batch_int", reading)
+
+            def client(c: int) -> None:
+                session = f"client-{c}"
+                order = submitted[session] = []
+                pending = futures[session] = []
+                for i in range(per_client):
+                    if i % 3 == 1:
+                        # One index: one slice read per retrieval.
+                        order.append(1000 * c + i)
+                        pending.append(runtime.submit_pir(
+                            session, [i % 2], seed=order[-1]))
+                    else:
+                        order.append(parse_query(texts[i]))
+                        pending.append(runtime.submit(session, texts[i]))
+
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            for pending in futures.values():
+                for i, future in enumerate(pending):
+                    result = future.result(timeout=30)
+                    if i % 3 == 1:
+                        assert result == [i % 2]
+            drainer = threading.Thread(target=runtime.drain)
+            drainer.start()
+            drainer.join(timeout=30)
+            assert not drainer.is_alive()
+            stats = runtime.stats()
+        retrievals = clients * (per_client // 3)
+        queries = clients * per_client - retrievals
+        assert sum(s["processed"] for s in stats["shards"]) == queries
+        assert sum(s["pir_positions"] for s in stats["shards"]) == retrievals
+        assert stats["admitted"] == queries
+        out_of_order = sorted(
+            session for session, order in submitted.items()
+            if [item for label, item in events if label == session] != order
+        )
+        assert out_of_order == []
