@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.table import Dataset
-from ..sdc.risk import WindowedScan
+from ..kernels import get_backend
 from ..smc.party import Transcript, plaintext_exposure
 
 
@@ -49,12 +49,13 @@ def extraction_from_release(
 ) -> ExtractionReport:
     """Competitor reads the release directly (row order is not assumed).
 
-    A cell counts as recovered when the release contains, *in the same
-    column*, a value within ``tolerance_sd`` standard deviations of it that
-    can be matched by nearest-neighbour alignment of the two files.  For
-    row-aligned masked releases this reduces to per-cell comparison; for
-    shuffled or synthetic releases the matching step is the adversary's
-    best effort.
+    Two channels, and the competitor keeps the better one.  For a
+    row-aligned release, a cell counts as recovered when the released
+    cell in the same row and column is within ``tolerance_sd`` standard
+    deviations of it.  For any release, a record counts with all its
+    cells when some release row is within ``tolerance_sd`` standard
+    deviations of it on every column, so a shuffled verbatim release
+    still scores 1.0.
     """
     if columns is None:
         columns = [
@@ -82,28 +83,8 @@ def extraction_from_release(
         aligned_recovered = int(np.sum(np.abs(x - y) / sd <= tol))
 
     # Channel 2 (any release): record-level matching — a record is
-    # recovered when some release row is within tolerance on EVERY column
-    # (so a shuffled verbatim release still scores 1.0).  Each block of
-    # records takes its largest column gap to the release rows of its
-    # window, one column at a time; a maximum rounds nothing, so the gaps
-    # are exact, and a row outside the window is more than the tolerance
-    # away in the first column alone.
-    xn, yn = x / sd, y / sd
-    matched_rows = 0
-    if y.shape[0]:
-        scan = WindowedScan(xn, yn)
-        for ids in scan.blocks():
-            records = xn[ids]
-            window = scan.window(records, tol)
-            gaps, diff = scan.scratch(ids.size, window)
-            for column, values in enumerate(scan.columns_t):
-                np.subtract(values[window], records[:, column, None], out=diff)
-                if column:
-                    np.maximum(gaps, np.abs(diff, out=diff), out=gaps)
-                else:
-                    np.abs(diff, out=gaps)
-            nearest = gaps.min(axis=1, initial=np.inf)
-            matched_rows += int(np.count_nonzero(nearest <= tol))
+    # recovered when some release row is within tolerance on EVERY column.
+    matched_rows = get_backend().tolerance_matches(x / sd, y / sd, tol)
     recovered = max(aligned_recovered, matched_rows * len(columns))
     return ExtractionReport(total, recovered)
 

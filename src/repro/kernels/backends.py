@@ -1,14 +1,16 @@
-"""Pluggable GF(2) kernel backends and the import-time selection registry.
+"""Pluggable kernel backends and the import-time selection registry.
 
-Two backends implement one small contract (:class:`KernelBackend`):
+Two backends implement one small contract (:class:`KernelBackend`): two
+GF(2) kernels on packed words and two nearest-record float scans.
 
 ``cext``
     Runtime-compiled C (:mod:`repro.kernels.cext`) — branchless,
-    query-tiled, register-blocked word loops; the fastest tier wherever
-    a C compiler exists.
+    query-tiled, register-blocked word loops and a per-target sorted
+    sweep; the fastest tier wherever a C compiler exists.
 ``uint64``
-    Pure numpy on packed uint64 words — tiled select/XOR-reduce matmul
-    and vectorized popcounts.  Always available; the portable floor.
+    Pure numpy — tiled select/XOR-reduce matmul and vectorized popcounts
+    on packed uint64 words, blocked windowed scans on floats
+    (:mod:`repro.kernels.nearest`).  Always available; the portable floor.
 
 Selection happens lazily on first use: the ``REPRO_KERNELS`` environment
 variable names a backend explicitly, otherwise the auto order is
@@ -29,6 +31,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import nearest
 from .packing import popcount_words, unpack_bool_rows
 
 __all__ = [
@@ -48,13 +51,15 @@ AUTO_ORDER = ("cext", "uint64")
 class KernelBackend:
     """The kernel contract every backend implements.
 
-    All inputs and outputs are packed: databases are ``(n, W)`` uint64
+    The GF(2) kernels take packed inputs: databases are ``(n, W)`` uint64
     word matrices (64 database bits per element), masks are little-bit-
     order ``(B, nw)`` word matrices (see :mod:`repro.kernels.packing`).
-    Implementations must be *bit-identical* to the boolean algebra the
-    methods name — that equivalence, not speed, is the correctness bar,
-    and ``tests/test_kernels_backends.py`` enforces it across schemes,
-    faulty wrappers, and audit policy stacks.
+    The nearest-record scans take ``(n, d)`` float64 targets and an
+    ``(m, d)`` float64 release.  Implementations must be *bit-identical*
+    to the boolean algebra and the whole-release scans the methods name —
+    that equivalence, not speed, is the correctness bar, and
+    ``tests/test_kernels_backends.py`` enforces it across schemes,
+    faulty wrappers, audit policy stacks and Table 2 scores.
     """
 
     name = "abstract"
@@ -68,6 +73,30 @@ class KernelBackend:
     def overlap_counts(self, rows: np.ndarray,
                        cand: np.ndarray) -> np.ndarray:
         """``popcount(rows[r] & cand)`` for every packed row, as int64."""
+        raise NotImplementedError
+
+    def link_candidates(self, targets: np.ndarray, release: np.ndarray,
+                        rtol: float, atol: float
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Every target's nearest-record candidates, as (target ids,
+        release row ids) pairs in no particular order.
+
+        A target's squared distance to a release row is summed column by
+        column, in column order.  Its candidates are the rows whose sum is
+        at most ``(sqrt(s) * (1 + 2 * rtol) + 2 * atol) ** 2``, where *s*
+        is its smallest sum: twice the tie tolerance, far above any
+        rounding of such a sum, so every row tied with the nearest within
+        ``(rtol, atol)`` is a candidate.  A NaN sum makes the smallest
+        NaN, as numpy's ``min`` does, and leaves the target none; so does
+        an empty release.
+        """
+        raise NotImplementedError
+
+    def tolerance_matches(self, targets: np.ndarray, release: np.ndarray,
+                          tol: float) -> int:
+        """How many targets some release row matches within *tol* on
+        every column: ``max_c |release[j, c] - targets[i, c]| <= tol``.
+        A NaN gap to any row leaves the target unmatched."""
         raise NotImplementedError
 
     @staticmethod
@@ -102,9 +131,30 @@ class KernelBackend:
                 f"candidate; got rows {rows.shape}, candidate {cand.shape}"
             )
 
+    @staticmethod
+    def check_scan(method: str, targets: np.ndarray,
+                   release: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Validate a nearest-record scan call; return C-contiguous
+        float64 targets and release.
+
+        Both must be 2-D with the same number of columns, at least one.
+        Every backend runs this before any work, so a mis-shaped call
+        fails with one ``ValueError`` text per method.
+        """
+        targets = np.ascontiguousarray(targets, dtype=np.float64)
+        release = np.ascontiguousarray(release, dtype=np.float64)
+        if not (targets.ndim == 2 and release.ndim == 2
+                and targets.shape[1] == release.shape[1] >= 1):
+            raise ValueError(
+                f"{method} needs (n, d) targets and an (m, d) release with "
+                f"d >= 1; got targets {targets.shape}, release "
+                f"{release.shape}"
+            )
+        return targets, release
+
 
 class Uint64Backend(KernelBackend):
-    """Pure-numpy word backend: always importable, no compilation."""
+    """Pure-numpy backend: always importable, no compilation."""
 
     name = "uint64"
 
@@ -139,6 +189,19 @@ class Uint64Backend(KernelBackend):
         if rows.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
         return popcount_words(rows & cand).sum(axis=1, dtype=np.int64)
+
+    def link_candidates(self, targets: np.ndarray, release: np.ndarray,
+                        rtol: float, atol: float
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        targets, release = self.check_scan("link_candidates", targets,
+                                           release)
+        return nearest.link_candidates(targets, release, rtol, atol)
+
+    def tolerance_matches(self, targets: np.ndarray, release: np.ndarray,
+                          tol: float) -> int:
+        targets, release = self.check_scan("tolerance_matches", targets,
+                                           release)
+        return nearest.tolerance_matches(targets, release, tol)
 
 
 def _make_cext() -> KernelBackend | None:

@@ -16,94 +16,19 @@ The respondent-privacy meter of the framework rests on these measures:
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..data.table import Dataset
+from ..kernels import get_backend
 from .base import resolve_rng
 from .kanonymity import equivalence_classes
-
-#: Floats in one temporary of a blocked nearest-record scan: a block of
-#: targets is scored against up to every release row at once.
-SCAN_BLOCK_FLOATS = 1 << 18
 
 #: Distances within this tolerance of a target's nearest one are ties.
 _TIE_RTOL = 1e-9
 _TIE_ATOL = 1e-12
-
-#: Release rows added on each side, in first-column order, to the rows
-#: within a block's first-column span: the probe whose distances bound
-#: each target's nearest one before the block's window is chosen.
-_PROBE_ROWS = 4
-
-#: Relative widening of a window's radius, and of the block's first-column
-#: magnitude added to it: far above the few units in the last place by
-#: which a difference, its square and the window's bounds can round.
-_WINDOW_SLACK = 2.0 ** -40
-
-
-def target_blocks(n_targets: int, n_release: int) -> Iterator[slice]:
-    """Consecutive slices of targets, each small enough that its pairs
-    with all *n_release* release rows fit in :data:`SCAN_BLOCK_FLOATS`."""
-    step = max(1, SCAN_BLOCK_FLOATS // max(n_release, 1))
-    for start in range(0, n_targets, step):
-        yield slice(start, min(start + step, n_targets))
-
-
-class WindowedScan:
-    """Targets compared in blocks with the release rows near them.
-
-    The release is sorted once by its first column, and the targets are
-    taken in :func:`target_blocks` blocks in the same order.  A block meets
-    only the release rows whose first value lies within a radius of the
-    block's first values (:meth:`window`).  A row outside differs from
-    every target of the block by more than the radius in column 0, so a
-    caller whose radius bounds every distance that can pass its cut gets
-    the whole-release result.  If a target or release value is NaN or
-    infinite, every window is the whole release.  The two scratch arrays
-    (:meth:`scratch`) are allocated once and serve every block.
-    """
-
-    def __init__(self, targets: np.ndarray, release: np.ndarray):
-        self.targets = targets
-        self.release = release
-        #: Release row ids in first-column order.
-        self.order = np.argsort(release[:, 0], kind="stable")
-        #: The sorted release, one contiguous row per column.
-        self.columns_t = np.ascontiguousarray(release[self.order].T)
-        self.finite = bool(
-            np.isfinite(targets).all() and np.isfinite(release).all()
-        )
-        self._blocks = list(target_blocks(targets.shape[0], release.shape[0]))
-        # The first block is the largest, so its views fit every block's.
-        largest = self._blocks[0].stop if self._blocks else 0
-        self._scratch = np.empty((2, largest * release.shape[0]))
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        """Target ids, one block at a time, in first-column order."""
-        by_first = np.argsort(self.targets[:, 0], kind="stable")
-        for block in self._blocks:
-            yield by_first[block]
-
-    def window(self, targets: np.ndarray, radius: float) -> slice:
-        """Sorted release rows whose first value lies within *radius* of
-        the first values of *targets*, a block in first-column order."""
-        first = self.columns_t[0]
-        if not self.finite:
-            return slice(0, first.size)
-        lo, hi = targets[0, 0], targets[-1, 0]
-        reach = (radius * (1 + _WINDOW_SLACK)
-                 + _WINDOW_SLACK * max(abs(lo), abs(hi)))
-        start = int(np.searchsorted(first, lo - reach, side="left"))
-        stop = int(np.searchsorted(first, hi + reach, side="right"))
-        return slice(start, max(start, stop))
-
-    def scratch(self, n_targets: int, window: slice) -> np.ndarray:
-        """The two scratch arrays as (n_targets, window rows) views."""
-        shape = (n_targets, window.stop - window.start)
-        return self._scratch[:, :shape[0] * shape[1]].reshape(2, *shape)
 
 
 def _aligned_numeric(
@@ -181,10 +106,7 @@ def distance_linkage_rate(
     scale = x.std(axis=0)
     scale[scale == 0] = 1.0
     known = x + rng.normal(0.0, intruder_noise_sd, x.shape) * scale
-    scan = WindowedScan(known / scale, y / scale)
-    shares = np.zeros(x.shape[0])
-    for ids in scan.blocks():
-        shares[ids] = _link_shares(scan, ids)
+    shares = _link_shares(known / scale, y / scale)
     # One share at a time in target order: np.sum would add them pairwise
     # and round differently.
     hits = 0.0
@@ -193,67 +115,30 @@ def distance_linkage_rate(
     return hits / x.shape[0]
 
 
-def _tie_reach(nearest: np.ndarray) -> np.ndarray:
-    """The distance up to which a record ties with one at *nearest*, with
-    the tie tolerance doubled to absorb rounding."""
-    return nearest * (1 + 2 * _TIE_RTOL) + 2 * _TIE_ATOL
-
-
-def _link_shares(scan: WindowedScan, ids: np.ndarray) -> np.ndarray:
-    """1/ties for each target ``ids[j]`` that is among its nearest release
+def _link_shares(targets: np.ndarray, release: np.ndarray) -> np.ndarray:
+    """1/ties for each target ``i`` that is among its nearest release
     records, else 0; target ``i`` was released as row ``i``.
 
-    Squared distances summed column by column screen the candidates:
-    rounding moves such a sum far less than the tie tolerance, so every
-    exact nearest or tied record survives the doubled cut.  The survivors'
-    distances are recomputed with ``np.linalg.norm(..., axis=1)`` -- row by
-    row the floats a per-target scan computes -- and settle the nearest
-    record and its ties exactly.
-
-    Only the block's window is screened.  A probe first screens each
-    target's own released row and the rows around the block in
-    first-column order; the smallest of those sums bounds the target's
-    nearest one as the screen computes it.  The window's radius is the
-    largest tie reach of these bounds.  A column-order sum of non-negative
-    squares never rounds below its first term, so a row outside the window
-    could not pass any target's cut, and the nearest row is inside.
+    The kernel backend's ``link_candidates`` screens the candidates with
+    squared distances summed column by column: rounding moves such a sum
+    far less than the tie tolerance, so every exact nearest or tied
+    record survives its doubled cut.  The survivors' distances are recomputed here with
+    ``np.linalg.norm(..., axis=1)`` -- row by row the floats a per-target
+    scan computes -- and settle the nearest record and its ties exactly,
+    whichever backend screened them.
     """
-    targets = scan.targets[ids]
-    own = np.zeros(ids.size)
-    for column in range(targets.shape[1]):
-        own += np.square(scan.release[ids, column] - targets[:, column])
-    first = scan.columns_t[0]
-    start = int(np.searchsorted(first, targets[0, 0])) - _PROBE_ROWS
-    stop = int(np.searchsorted(first, targets[-1, 0], side="right"))
-    probe = slice(max(start, 0), min(stop + _PROBE_ROWS, first.size))
-    bound = np.minimum(_screen(scan, targets, probe).min(axis=1), own)
-    window = scan.window(targets, _tie_reach(np.sqrt(bound)).max())
-    sq = _screen(scan, targets, window)
-    cut = _tie_reach(np.sqrt(sq.min(axis=1))) ** 2
-    rows, cols = np.nonzero(sq <= cut[:, None])
-    released = scan.order[window][cols]
-    d = np.linalg.norm(scan.release[released] - targets[rows], axis=1)
+    rows, released = get_backend().link_candidates(
+        targets, release, _TIE_RTOL, _TIE_ATOL
+    )
+    d = np.linalg.norm(release[released] - targets[rows], axis=1)
     best = np.full(targets.shape[0], np.inf)
     np.minimum.at(best, rows, d)
     tied = np.isclose(d, best[rows], rtol=_TIE_RTOL, atol=_TIE_ATOL)
     ties = np.bincount(rows[tied], minlength=targets.shape[0])
-    hit = rows[tied & (released == ids[rows])]
+    hit = rows[tied & (released == rows)]
     shares = np.zeros(targets.shape[0])
     shares[hit] = 1.0 / ties[hit]
     return shares
-
-
-def _screen(scan: WindowedScan, targets: np.ndarray, window: slice) -> np.ndarray:
-    """Squared distances from *targets* to the sorted release rows in
-    *window*, summed column by column, in the scan's first scratch array."""
-    sq, diff = scan.scratch(targets.shape[0], window)
-    for column, values in enumerate(scan.columns_t):
-        np.subtract(values[window], targets[:, column, None], out=diff)
-        if column:
-            sq += np.square(diff, out=diff)
-        else:
-            np.square(diff, out=sq)
-    return sq
 
 
 def uniqueness_rate(

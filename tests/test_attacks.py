@@ -15,6 +15,7 @@ from repro.attacks import (
     reconstruction_attack,
 )
 from repro.data import Dataset, dataset_2, patients, sparse_uniform
+from repro.kernels import available_backends, nearest, use_backend
 from repro.pir import PrivateAggregateIndex
 from repro.ppdm import (
     AgrawalSrikantRandomizer,
@@ -23,7 +24,6 @@ from repro.ppdm import (
     reconstruct_joint,
 )
 from repro.sdc import IdentityMasking, Microaggregation, UncorrelatedNoise
-from repro.sdc import risk
 from repro.smc import Transcript
 
 
@@ -362,14 +362,21 @@ def _shifted_by_tolerance(width, tolerance_sd):
 
 
 class TestBlockedExtractionMatchesScan:
-    """extraction_from_release matches blocks of records against the whole
-    release; it must recover exactly the cells the per-record scan did."""
+    """extraction_from_release matches records against the whole release
+    on every kernel backend; it must recover exactly the cells the
+    per-record scan did."""
+
+    @pytest.fixture(autouse=True, params=available_backends())
+    def backend(self, request):
+        with use_backend(request.param):
+            yield
 
     @pytest.fixture(params=["one block", "many blocks"])
     def blocks(self, request, monkeypatch):
         if request.param == "many blocks":
-            # At 150 release rows: blocks of 6 records, the last one short.
-            monkeypatch.setattr(risk, "SCAN_BLOCK_FLOATS", 1000)
+            # At 150 release rows: blocks of 6 records on uint64, the last
+            # one short.
+            monkeypatch.setattr(nearest, "SCAN_BLOCK_FLOATS", 1000)
 
     @pytest.mark.parametrize("tolerance_sd", [0.0, 0.15, 0.25])
     @pytest.mark.parametrize("release", sorted(_RELEASES))

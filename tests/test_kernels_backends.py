@@ -1,14 +1,19 @@
-"""Cross-backend equivalence for the GF(2) kernel tier.
+"""Cross-backend equivalence for the kernel tier.
 
 The contract of :mod:`repro.kernels.backends` is *bit-identity*: every
 backend — compiled C, pure-numpy uint64 — must produce exactly the
 bytes the boolean ground truth below produces, at the kernel level and
 end to end (every PIR scheme, the faulty wrappers, every audit policy
-stack).  The truth is written from the definitions on unpacked bits
-and shares no code with the backends, so a box without a C compiler
-still checks uint64 against an independent oracle while a full box
-checks both.
+stack), and exactly the candidates and matches a per-target scan of
+the whole release finds (Table 2 scores).  The truths are written from
+the definitions, on unpacked bits and one Python float at a time, and
+share no code with the backends, so a box without a C compiler still
+checks uint64 against an independent oracle while a full box checks
+both.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +34,8 @@ from repro.kernels import (
     tail_mask,
     use_backend,
 )
+from repro.core import score_technologies
+from repro.kernels import cext, nearest
 from repro.kernels.backends import _probe
 from repro.pir import MultiServerXorPIR, SquareSchemePIR, TwoServerXorPIR
 from repro.qdb import (
@@ -273,6 +280,268 @@ def test_overlap_counts_rejects_mis_shaped_input(case):
             )
         messages.add(str(err.value))
     assert len(messages) == 1
+
+
+# -- nearest-record scans ---------------------------------------------------
+
+_RTOL, _ATOL = 1e-9, 1e-12
+
+
+def _truth_candidates(targets, release, rtol=_RTOL, atol=_ATOL):
+    """Every target's (target, row) candidates by the contract's
+    definition, one target, one row and one column at a time."""
+    pairs = set()
+    for i, target in enumerate(targets.tolist()):
+        sums = []
+        for row in release.tolist():
+            s = 0.0
+            for r, t in zip(row, target):
+                s += (r - t) * (r - t)
+            sums.append(s)
+        if not sums or any(s != s for s in sums):
+            continue  # a NaN sum makes the smallest NaN: no candidates
+        reach = math.sqrt(min(sums)) * (1 + 2 * rtol) + 2 * atol
+        pairs |= {(i, j) for j, s in enumerate(sums) if s <= reach * reach}
+    return pairs
+
+
+def _truth_matches(targets, release, tol):
+    """Targets some row matches within *tol* on every column; a NaN gap
+    to any row leaves the target unmatched."""
+    matched = 0
+    for target in targets.tolist():
+        gaps = []
+        for row in release.tolist():
+            diffs = [abs(r - t) for r, t in zip(row, target)]
+            gaps.append(math.nan if any(g != g for g in diffs) else max(diffs))
+        if not any(g != g for g in gaps):
+            matched += any(g <= tol for g in gaps)
+    return matched
+
+
+def _rounded(n, d, seed, decimals=1):
+    """n rows of d standard-normal values, rounded so values collide."""
+    return np.random.default_rng(seed).normal(size=(n, d)).round(decimals)
+
+
+def _near_ties(d):
+    """Rows in pairs 3e-13 apart in column 0: tied within the tolerance."""
+    rows = _rounded(30, d, 3, decimals=9)[np.arange(30) // 2]
+    rows[1::2, 0] += 3e-13
+    return rows, rows
+
+
+def _window_edge(d):
+    """Targets whose nearest row is 1 away in column 1, with rows on both
+    sides in column 0 at exactly the tie reach of 1, one float inside it
+    and one float past it: the sweep's stop test and a window's edge."""
+    reach = 1.0 * (1 + 2 * _RTOL) + 2 * _ATOL
+    gaps = [reach, np.nextafter(reach, 0), np.nextafter(reach, 2), 1.0]
+    release = np.zeros((2 + 2 * len(gaps), max(d, 2)))
+    release[0, 1] = 1.0
+    release[1, 1] = -1.0
+    for k, gap in enumerate(gaps):
+        release[2 + 2 * k, 0] = gap
+        release[3 + 2 * k, 0] = -gap
+    targets = np.zeros((3, max(d, 2)))
+    targets[1, 0] = 1e-3
+    targets[2, 0] = -1e-3
+    return targets, release
+
+
+def _constant_first(d):
+    targets, release = _rounded(20, d, 4), _rounded(25, d, 5)
+    targets[:, 0] = release[:, 0] = 1.5
+    return targets, release
+
+
+def _with(array, value, row, column):
+    array = array.copy()
+    array[row, column] = value
+    return array
+
+
+_SCAN_CASES = {
+    "random": lambda d: (_rounded(40, d, 1), _rounded(55, d, 2)),
+    "duplicated rows": lambda d: (_rounded(20, d, 1),
+                                  _rounded(20, d, 1)[np.arange(60) // 3]),
+    "ties within the tolerance": _near_ties,
+    "ties on the window edge": _window_edge,
+    "constant first column": _constant_first,
+    "empty release": lambda d: (_rounded(5, d, 1), np.zeros((0, d))),
+    "single row": lambda d: (_rounded(5, d, 1), _rounded(1, d, 2)),
+    "single target": lambda d: (_rounded(1, d, 1), _rounded(30, d, 2)),
+    "no targets": lambda d: (np.zeros((0, d)), _rounded(30, d, 2)),
+}
+for _value in (math.nan, math.inf, -math.inf):
+    for _column in (0, -1):
+        _SCAN_CASES[f"target {_value} in column {_column}"] = (
+            lambda d, v=_value, c=_column: (
+                _with(_rounded(20, d, 1), v, 3, c), _rounded(30, d, 2)))
+        _SCAN_CASES[f"release {_value} in column {_column}"] = (
+            lambda d, v=_value, c=_column: (
+                _rounded(20, d, 1), _with(_rounded(30, d, 2), v, 3, c)))
+_SCAN_CASES["inf in the same cell of both"] = lambda d: (
+    _with(_rounded(20, d, 1), math.inf, 3, -1),
+    _with(_rounded(30, d, 2), math.inf, 5, -1))
+
+
+@pytest.fixture(params=["one block", "many blocks"])
+def scan_blocks(request, monkeypatch):
+    if request.param == "many blocks":
+        # Blocks of one or a few targets on uint64.
+        monkeypatch.setattr(nearest, "SCAN_BLOCK_FLOATS", 60)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("d", [1, 3, 9])
+@pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+def test_link_candidates_match_truth(name, d, case, scan_blocks):
+    targets, release = _SCAN_CASES[case](d)
+    rows, released = _probe(name).link_candidates(
+        targets, release, _RTOL, _ATOL
+    )
+    pairs = set(zip(rows.tolist(), released.tolist()))
+    assert len(pairs) == rows.size == released.size  # each pair once
+    assert pairs == _truth_candidates(targets, release)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("tol", [0.0, 0.15, 0.25, 1.0])
+@pytest.mark.parametrize("d", [1, 3, 9])
+@pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+def test_tolerance_matches_match_truth(name, d, case, tol, scan_blocks):
+    targets, release = _SCAN_CASES[case](d)
+    matched = _probe(name).tolerance_matches(targets, release, tol)
+    assert matched == _truth_matches(targets, release, tol)
+
+
+def _fused_edge_row():
+    """A 2-column row on the tie cut of a nearest distance of 1 from the
+    origin, on one side of it when its squares are rounded and summed
+    separately and on the other when the second square is fused into the
+    sum (one rounding, as a multiply-add instruction does)."""
+    reach = 1.0 * (1 + 2 * _RTOL) + 2 * _ATOL
+    cut = reach * reach
+    for theta in np.random.default_rng(0).uniform(0.1, 1.4, 20000).tolist():
+        a, b = reach * math.cos(theta), reach * math.sin(theta)
+        separate = a * a + b * b
+        fused = float(Fraction(b) ** 2 + Fraction(a * a))  # rounded once
+        if (separate <= cut) != (fused <= cut):
+            return [a, b]
+    raise AssertionError("no row found")  # pragma: no cover
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_link_candidates_round_each_square_and_sum(name, scan_blocks):
+    """A backend whose compiler contracted the screen into multiply-adds
+    would take, or drop, the second row."""
+    targets = np.zeros((1, 2))
+    release = np.array([[1.0, 0.0], _fused_edge_row()])
+    rows, released = _probe(name).link_candidates(
+        targets, release, _RTOL, _ATOL
+    )
+    assert set(zip(rows.tolist(), released.tolist())) == _truth_candidates(
+        targets, release
+    )
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tolerance_matches_on_the_window_edge(name, d, scan_blocks):
+    """Rows exactly the tolerance away in column 0 match; one float past
+    it they do not."""
+    tol = 0.15
+    targets = _rounded(30, d, 6)
+    release = np.concatenate([targets, targets])
+    release[:30, 0] += tol
+    release[30:, 0] = np.nextafter(release[30:, 0] + tol, np.inf)
+    expected = _truth_matches(targets, release, tol)
+    assert 0 < expected < 30
+    assert _probe(name).tolerance_matches(targets, release, tol) == expected
+
+
+@pytest.mark.skipif("cext" not in ALL, reason="no C compiler")
+@pytest.mark.parametrize("d", [2, 3, 12])
+@pytest.mark.parametrize("spread", [1.0, 1e-6])
+def test_scans_equal_across_backends(d, spread, scan_blocks):
+    """At sizes where the numpy windows span many blocks, both backends
+    return the same candidate set and the same match count."""
+    rng = np.random.default_rng(d)
+    targets = rng.normal(size=(600, d)).round(2)
+    release = np.concatenate([
+        targets[:200] + rng.normal(scale=spread, size=(200, d)),
+        targets[200:400],
+        targets[np.arange(200) // 5],
+    ])
+    found = {}
+    for name in ("cext", "uint64"):
+        rows, released = _probe(name).link_candidates(
+            targets, release, _RTOL, _ATOL
+        )
+        found[name] = (
+            set(zip(rows.tolist(), released.tolist())),
+            [_probe(name).tolerance_matches(targets, release, tol)
+             for tol in (0.0, 0.05, 0.25)],
+        )
+    assert found["cext"] == found["uint64"]
+
+
+_BAD_SCANS = {
+    "1-D targets": ((3,), (4, 3)),
+    "1-D release": ((3, 3), (4,)),
+    "column counts differ": ((3, 2), (4, 3)),
+    "no columns": ((3, 0), (4, 0)),
+    "3-D release": ((3, 3), (4, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("method", ["link_candidates", "tolerance_matches"])
+@pytest.mark.parametrize("case", sorted(_BAD_SCANS))
+def test_scans_reject_mis_shaped_input(method, case):
+    targets, release = _BAD_SCANS[case]
+    extra = (_RTOL, _ATOL) if method == "link_candidates" else (0.25,)
+    messages = set()
+    for name in ALL:
+        with pytest.raises(ValueError, match=f"^{method} needs") as err:
+            getattr(_probe(name), method)(
+                np.ones(targets), np.ones(release), *extra
+            )
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+#: ``score_technologies`` digests over patients(400), recorded with the
+#: blocked numpy scans before the kernel tier held them.
+_TABLE2_DIGESTS = {0: "49a6bb49105ad4d2", 9: "86d4fa51d1bc5a16",
+                   18: "83d0b709430f8c05"}
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("seed", sorted(_TABLE2_DIGESTS))
+def test_table2_scores_identical_across_backends(name, seed):
+    from tests.test_core_scoring import _digest
+
+    population = patients(400, seed=seed).drop(["patient_id"])
+    with use_backend(name):
+        comparison = score_technologies(population, seed=seed)
+    assert _digest(comparison) == _TABLE2_DIGESTS[seed]
+
+
+@pytest.mark.skipif("cext" not in ALL, reason="no C compiler")
+def test_library_is_keyed_on_how_it_was_built(tmp_path, monkeypatch):
+    """A library built with other flags is never reused."""
+    monkeypatch.setenv("REPRO_KERNELS_CACHE", str(tmp_path))
+    first = cext.build_library()
+    monkeypatch.setattr(cext, "_FLAG_CHAIN", (("-O1",),))
+    second = cext.build_library()
+    assert first is not None and second is not None
+    assert first._name != second._name
+    assert sorted(path.name for path in tmp_path.glob("*.so")) == sorted(
+        path.rsplit("/", 1)[-1] for path in (first._name, second._name)
+    )
 
 
 def _scheme_transcript(scheme_factory):

@@ -410,3 +410,22 @@ class TestMaskCache:
         db.predicate_mask(Comparison("height", ">", 170))
         db.predicate_mask(Comparison("height", ">", 170.0))
         assert db.mask_cache_misses == 2
+
+    def test_fresh_predicates_stay_under_the_byte_bound(self, monkeypatch):
+        """A stream of fresh predicates never holds more than the bound,
+        while a repeated query still hits and its answer does not move."""
+        pop = patients(120, seed=2)
+        db = StatisticalDatabase(pop)
+        monkeypatch.setattr(db, "_MASK_CACHE_MAX_BYTES", 10 * pop.n_rows)
+        repeated = "SELECT SUM(blood_pressure) WHERE weight < 80"
+        first = db.ask(repeated)
+        for step in range(60):
+            db.ask(f"SELECT COUNT(*) WHERE height > {150 + step * 0.5}")
+            held = sum(m.nbytes for m in db._mask_cache.values())
+            assert held <= 10 * pop.n_rows
+            db.ask(repeated)  # misses once after the bound emptied the cache
+            hits = db.mask_cache_hits
+            assert db.ask(repeated).value == first.value
+            assert db.mask_cache_hits == hits + 1
+        # 60 fresh masks, the repeated one, and its misses after each empty.
+        assert db.mask_cache_misses > 61

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import Dataset
+from repro.kernels import available_backends, nearest, use_backend
 from repro.sdc import (
     IdentityMasking,
     Microaggregation,
@@ -166,14 +167,21 @@ def _straddling_tie(width):
 
 
 class TestBlockedLinkageMatchesScan:
-    """distance_linkage_rate scores blocks of targets against the whole
-    release; it must return the per-target scan's float exactly."""
+    """distance_linkage_rate scores targets against the whole release on
+    every kernel backend; it must return the per-target scan's float
+    exactly."""
+
+    @pytest.fixture(autouse=True, params=available_backends())
+    def backend(self, request):
+        with use_backend(request.param):
+            yield
 
     @pytest.fixture(params=["one block", "many blocks"])
     def blocks(self, request, monkeypatch):
         if request.param == "many blocks":
-            # At 150 release rows: blocks of 6 targets, the last one short.
-            monkeypatch.setattr(risk, "SCAN_BLOCK_FLOATS", 1000)
+            # At 150 release rows: blocks of 6 targets on uint64, the last
+            # one short.
+            monkeypatch.setattr(nearest, "SCAN_BLOCK_FLOATS", 1000)
 
     @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
     @pytest.mark.parametrize("release", sorted(_RELEASES))
