@@ -44,13 +44,12 @@ bench-kernels:
 		seed_qdb_overlap ref_uint8_qdb_overlap_h2000 \
 		pir_memmap_batch8_retrieve_n262144
 
-# The query-plan gates: the warm plan cache against cold per-query
-# compilation, timed interleaved (>= 1.5x), and the memmap-backed
-# out-of-core query history against its absolute baseline.
+# The query-engine decision gates against their absolute baselines:
+# batched size-control decisions on a fresh engine, and the
+# memmap-backed out-of-core query history.
 bench-plan:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.runner --check --output /dev/null \
-		--kernels qdb_plan_cache_batch ref_cold_plan_ask_batch \
-		qdb_memmap_history_overlap
+		--kernels qdb_plan_cache_batch qdb_memmap_history_overlap
 
 # Refresh the committed benchmark record after an intentional perf change;
 # copy the printed normalized values into benchmarks/baselines.py too.

@@ -38,8 +38,8 @@ BASELINES: dict[str, float] = {
     "mdav_n2000_k10": 50.0,
     "linkage_n600": 12.0,
     "qdb_overlap_h2000": 2.0,
-    # The plan-path kernels: the packed history on a memmap word store
-    # under a 1 MiB budget and the warm-plan-cache batched workload.
+    # The bench-plan kernels: the packed history on a memmap word store
+    # under a 1 MiB budget and the batched size-control workload.
     "qdb_memmap_history_overlap": 3.0,
     "qdb_plan_cache_batch": 24.0,
     "qdb_sum_audit": 24.0,
@@ -95,17 +95,13 @@ TOLERANCE = 2.0
 # pure-Python replicas (benchmarks/seed_replicas.py, SPEEDUP_PAIRS in
 # runner.py), ``*_vs_uint8`` entries compare the word-level kernel tier
 # against the frozen uint8 pipelines it replaced
-# (benchmarks/uint8_replicas.py, UINT8_PAIRS in runner.py), and the
-# ``*_vs_cold`` entry gates the plan cache (PLAN_PAIRS in runner.py):
-# warm-cache ``ask_batch`` against cold per-query compilation, timed
-# interleaved.
+# (benchmarks/uint8_replicas.py, UINT8_PAIRS in runner.py).
 MIN_SPEEDUPS: dict[str, float] = {
     "pir_single_retrieve_n4096_vs_seed": 10.0,
     "qdb_overlap_h2000_vs_seed": 10.0,
     "qdb_sum_audit_vs_seed": 10.0,
     "pir_batch64_retrieve_n65536_vs_uint8": 4.0,
     "qdb_overlap_h2000_vs_uint8": 2.0,
-    "qdb_plan_cache_batch_vs_cold": 1.5,
 }
 
 # Wrapping layers must stay within these factors of their bare kernels

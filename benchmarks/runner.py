@@ -95,17 +95,6 @@ UINT8_PAIRS = [
     ("qdb_overlap_h2000", "ref_uint8_qdb_overlap_h2000"),
 ]
 
-# (plan-path kernel, reference kernel, suffix) triples; the recorded
-# speedup ``<kernel>_vs_<suffix>`` must stay above its MIN_SPEEDUPS
-# entry under --check — the gate on the plan cache.  Unlike the seed and
-# uint8 pairs, these speedups are timed interleaved
-# (:func:`time_overhead_ratio`): the two kernels take a few milliseconds
-# each, and separately timed medians of them moved the ratio across its
-# floor on an unchanged tree.
-PLAN_PAIRS = [
-    ("qdb_plan_cache_batch", "ref_cold_plan_ask_batch", "cold"),
-]
-
 # (wrapped kernel, bare kernel) pairs; the recorded ratio for each pair
 # must stay below MAX_OVERHEADS[wrapped] under --check — the gates that
 # keep the fault-tolerance layer out of the fault-free hot path, the
@@ -490,16 +479,15 @@ def _qdb_sum_audit(
 
 
 def _qdb_plan_cache_batch(
-    n: int, n_queries: int, n_unique: int, cached: bool = True
+    n: int, n_queries: int, n_unique: int
 ) -> Callable[[], Callable[[], object]]:
-    """Plan-compilation cost in ``ask_batch``: warm cache vs cold compile.
+    """Per-query decision overhead in ``ask_batch`` on a fresh engine.
 
     A small population and a size-control-only stack keep the per-query
-    evaluation cheap, so the timed difference is dominated by what the
-    plan cache saves: ``n_queries`` COUNT queries cycling ``n_unique``
-    predicate shapes compile ``n_unique`` plans once when the cache is
-    warm, versus compiling (and re-optimizing) every query when
-    ``cached=False`` disables the planner's cache.
+    evaluation cheap, so the timed work is mostly the decision path
+    itself: ``n_queries`` COUNT queries cycling ``n_unique`` predicate
+    shapes, each decided from the planner's stack memo (one miss on the
+    first query, hits after).
     """
 
     def setup():
@@ -520,10 +508,6 @@ def _qdb_plan_cache_batch(
 
         def run():
             db = StatisticalDatabase(pop, [QuerySetSizeControl(5)])
-            if not cached:
-                from repro.plan import QueryPlanner
-
-                db._planner = QueryPlanner(db, cache=False)
             return db.ask_batch(queries)
 
         return run
@@ -974,9 +958,6 @@ KERNELS: list[Kernel] = [
            _qdb_overlap_memmap(2000, 5000, ram_budget=1 << 20), reps=5),
     Kernel("qdb_plan_cache_batch", _qdb_plan_cache_batch(250, 256, 16),
            reps=3),
-    Kernel("ref_cold_plan_ask_batch",
-           _qdb_plan_cache_batch(250, 256, 16, cached=False),
-           reps=3, reference_only=True),
     Kernel("qdb_sum_audit", _qdb_sum_audit(2000, 5000, 400), reps=3),
     Kernel("seed_qdb_sum_audit",
            _qdb_sum_audit(2000, 5000, 400, seed_impl=True),
@@ -1029,9 +1010,9 @@ def time_kernel(kernel: Kernel, trials: int) -> tuple[float, float]:
     The median is what the absolute baselines compare against; the best
     (minimum) is recorded in the JSON for post-hoc noise analysis,
     because scheduler noise only ever *inflates* a sample.  The overhead
-    gates and the plan-cache gate do not use either — they re-time their
-    kernel pairs interleaved (:func:`time_overhead_ratio`), which
-    independent timings like these cannot replace on a shared machine.
+    gates do not use either — they re-time their kernel pairs
+    interleaved (:func:`time_overhead_ratio`), which independent timings
+    like these cannot replace on a shared machine.
     """
     run = kernel.setup()
     run()  # warm-up (bit matrices, caches) outside the timed region
@@ -1166,12 +1147,6 @@ def run_benchmarks(trials: int, names: list[str] | None = None) -> dict:
                 ref["median_seconds"] / fast["median_seconds"]
             )
     by_name = {kernel.name: kernel for kernel in KERNELS}
-    for fast_name, ref_name, suffix in PLAN_PAIRS:
-        if fast_name in results["kernels"] and ref_name in results["kernels"]:
-            results["speedups"][f"{fast_name}_vs_{suffix}"] = (
-                time_overhead_ratio(by_name[ref_name], by_name[fast_name],
-                                    trials)
-            )
     for wrapped_name, bare_name in OVERHEAD_PAIRS:
         if wrapped_name in results["kernels"] and bare_name in results["kernels"]:
             cpu = wrapped_name in CPU_CLOCK_OVERHEADS
@@ -1249,9 +1224,6 @@ def check_regressions(
             (UINT8_PAIRS, "uint8", "the uint8 kernels it replaced"),
         )
         for fast, _ in pairs
-    ] + [
-        (fast, suffix, "cold per-query plan compilation")
-        for fast, _, suffix in PLAN_PAIRS
     ]
     for fast_name, suffix, what in speedup_groups:
         key = f"{fast_name}_vs_{suffix}"

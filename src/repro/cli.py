@@ -17,9 +17,10 @@ Commands
 ``attack-pir``
     Run the Section 3 COUNT/AVG attack on Dataset 2.
 ``qdb explain "<query>" --policies size:5,overlap:40,sum-audit``
-    Render the query's compiled plan before and after the optimizer
-    passes (pruned no-op checks and transforms); ``--pir-demo`` adds the
-    coalesced PIR fetch plan for a Section 3 range batch.
+    Print the checks and transforms the policy stack runs on the query,
+    in stack order (a policy whose type does not override ``review`` or
+    ``transform`` is left out of that list); ``--pir-demo`` adds the
+    requested and unique cell counts of a Section 3 range batch.
 ``telemetry report <trace.jsonl>``
     Summarize a captured trace: latency table, slowest spans, refusals.
 ``telemetry dashboard``
@@ -265,7 +266,10 @@ def _parse_policy_stack(spec: str):
                 f"unknown policy {name!r}; choose from "
                 f"{', '.join(sorted(factories))} (e.g. size:5,overlap:40)"
             )
-        policies.append(factories[name](arg))
+        try:
+            policies.append(factories[name](arg))
+        except ValueError as exc:
+            raise SystemExit(f"bad policy {token!r}: {exc}") from None
     return policies
 
 
@@ -293,12 +297,14 @@ def _cmd_qdb_explain(args: argparse.Namespace) -> int:
             edges={"height": [150, 165, 180, 200],
                    "weight": [50, 80, 105, 130]},
         )
-        print()
-        print("-- PIR fetch coalescing (Section 3 grid, 2-query batch) --")
-        print(index.explain_plan([
+        cells, routes = index.batch_cells([
             {"height": (0, 165), "weight": (105, 1000)},
             {"height": (0, 165)},
-        ]))
+        ])
+        print()
+        print("-- PIR range batch (Section 3 grid, 2 predicates) --")
+        print(f"cells requested: {sum(map(len, routes))}")
+        print(f"unique cells fetched: {len(cells)}, one retrieve_batch round")
     return 0
 
 
@@ -736,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     pq = sub.add_parser("qdb", help="statistical-database tools")
     qdb_sub = pq.add_subparsers(dest="qdb_command", required=True)
     qe = qdb_sub.add_parser(
-        "explain", help="render a query's plan pre/post optimization",
+        "explain", help="print the checks and transforms a stack runs",
         epilog=knob_epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -748,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     qe.add_argument("--records", type=int, default=300)
     qe.add_argument("--seed", type=int, default=0)
     qe.add_argument("--pir-demo", action="store_true",
-                    help="also show PIR fetch coalescing on the Section 3 grid")
+                    help="also count a Section 3 range batch's cells")
 
     ps = sub.add_parser(
         "scoreboard", help="score masking methods on the three dimensions"

@@ -24,9 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.table import Dataset
-from ..plan import AnswerSink, FusedPirFetch, Plan, PirFetch
-from ..plan import explain as explain_plans
-from ..plan import optimize
 from .itpir import TwoServerXorPIR
 
 _SCALE = 100  # fixed-point scale for sums
@@ -170,48 +167,31 @@ class PrivateAggregateIndex:
             flat.append(idx)
         return flat
 
-    def _describe_ranges(
-        self, ranges: Mapping[str, tuple[float, float]]
-    ) -> str:
-        if not ranges:
-            return "TRUE"
-        return " AND ".join(
-            f"{lo:g} <= {c} < {hi:g}" for c, (lo, hi) in sorted(ranges.items())
-        )
-
-    def compile_plan(
+    def batch_cells(
         self, ranges_list: Sequence[Mapping[str, tuple[float, float]]]
-    ) -> Plan:
-        """Compile a batch of range predicates into a PIR fetch plan.
+    ) -> tuple[list[int], list[list[int]]]:
+        """The cells a batch fetches and where each predicate's cells sit.
 
-        One :class:`~repro.plan.PirFetch` node per predicate (its blocks
-        are the grid cells the predicate resolves to, in scan order);
-        the optimizer coalesces them into a single deduplicated
-        :class:`~repro.plan.FusedPirFetch` when the batch shares cells.
+        Returns the distinct cells of every predicate in first-occurrence
+        order, and for each predicate the positions of its cells in that
+        list.  A predicate's own cells are a Cartesian product of bins and
+        already distinct, so a batch of one fetches them in scan order.
+        Raises ``KeyError`` for a predicate on a non-grid column before
+        anything is fetched.
         """
-        nodes: list = []
+        order: dict[int, int] = {}
+        routes = []
         for ranges in ranges_list:
             unknown = set(ranges) - set(self.group_columns)
             if unknown:
                 raise KeyError(
                     f"predicate on non-grid columns: {sorted(unknown)}"
                 )
-            nodes.append(PirFetch(
-                tuple(self._cells_for_ranges(ranges)),
-                source=self._describe_ranges(ranges),
-            ))
-        nodes.append(AnswerSink())
-        return Plan(
-            title=f"PIR aggregate batch ({len(ranges_list)} queries)",
-            nodes=tuple(nodes),
-        )
-
-    def explain_plan(
-        self, ranges_list: Sequence[Mapping[str, tuple[float, float]]]
-    ) -> str:
-        """Render the batch's fetch plan pre/post optimization."""
-        before = self.compile_plan(ranges_list)
-        return explain_plans(before, optimize(before))
+            routes.append([
+                order.setdefault(cell, len(order))
+                for cell in self._cells_for_ranges(ranges)
+            ])
+        return list(order), routes
 
     def _sum_cells(self, raws, positions) -> AggregateResult:
         count, total = 0, 0.0
@@ -228,9 +208,8 @@ class PrivateAggregateIndex:
     ) -> AggregateResult:
         """Privately evaluate COUNT and SUM over the range predicate.
 
-        A batch of one: a single-predicate plan holds one fetch node, so
-        the optimizer leaves it alone and the execution is one
-        ``retrieve_batch`` over the predicate's cells in scan order.
+        A batch of one: one ``retrieve_batch`` over the predicate's cells
+        in scan order.
         """
         return self.query_batch([ranges], rng)[0]
 
@@ -239,10 +218,10 @@ class PrivateAggregateIndex:
         ranges_list: Sequence[Mapping[str, tuple[float, float]]],
         rng: np.random.Generator | int | None = 0,
     ) -> list[AggregateResult]:
-        """Evaluate a batch of range predicates in one coalesced PIR round.
+        """Evaluate a batch of range predicates in one PIR round.
 
-        The optimizer's ``coalesce-pir-fetches`` pass deduplicates cells
-        shared across predicates, so the servers serve each distinct cell
+        Cells shared across predicates are fetched once
+        (:meth:`batch_cells`), so the servers serve each distinct cell
         once (``blocks_fetched``) however many predicates requested it
         (``cells_fetched``).  Per-predicate results equal sequential
         :meth:`query` calls exactly — PIR reconstruction is exact for
@@ -251,24 +230,11 @@ class PrivateAggregateIndex:
         """
         if not ranges_list:
             return []
-        plan = optimize(self.compile_plan(ranges_list))
-        fetches = [
-            n for n in plan.nodes if isinstance(n, (PirFetch, FusedPirFetch))
-        ]
-        if len(fetches) == 1 and isinstance(fetches[0], FusedPirFetch):
-            fused = fetches[0]
-            raws = self._pir.retrieve_batch(list(fused.blocks), rng)
-            self.cells_fetched += fused.requested
-            self.blocks_fetched += len(fused.blocks)
-            return [self._sum_cells(raws, route) for route in fused.routing]
-        # A single-predicate batch (or all-empty fetches): no fusion.
-        results = []
-        for fetch in fetches:
-            raws = self._pir.retrieve_batch(list(fetch.blocks), rng)
-            self.cells_fetched += len(fetch.blocks)
-            self.blocks_fetched += len(fetch.blocks)
-            results.append(self._sum_cells(raws, range(len(fetch.blocks))))
-        return results
+        cells, routes = self.batch_cells(ranges_list)
+        raws = self._pir.retrieve_batch(cells, rng)
+        self.cells_fetched += sum(map(len, routes))
+        self.blocks_fetched += len(cells)
+        return [self._sum_cells(raws, route) for route in routes]
 
     def server_observations(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """What the servers saw on the most recent fetch (for leakage tests)."""

@@ -415,7 +415,7 @@ class StatisticalDatabase:
         self._session_ctx = threading.local()
         from ..plan import QueryPlanner  # lazy: breaks the import cycle
 
-        self._planner = QueryPlanner(self)
+        self._planner = QueryPlanner()
 
     @property
     def n_records(self) -> int:
@@ -480,12 +480,12 @@ class StatisticalDatabase:
 
     @property
     def plan_cache_hits(self) -> int:
-        """Plan-cache hits (read-through to the counter)."""
+        """Decisions that found the planner's stack memo current."""
         return self._c_plan_hits.value
 
     @property
     def plan_cache_misses(self) -> int:
-        """Plan-cache misses (read-through to the counter)."""
+        """Decisions that rebuilt the stack memo (a new stack)."""
         return self._c_plan_misses.value
 
     @property
@@ -567,8 +567,13 @@ class StatisticalDatabase:
         self._consume_degraded()  # discard partial failover from failed read
         if mask is None:
             mask = np.zeros(self.n_records, dtype=bool)
-        self.history.record(LogEntry(query, mask, False, None))
+        self._record(query, mask, False, None)
         return Refusal(query, reason=f"backend: {exc}")
+
+    def _record(self, query: Query, mask: np.ndarray, answered: bool,
+                value: float | None) -> None:
+        """Append one decision to the audit history."""
+        self.history.record(LogEntry(query, mask, answered, value))
 
     def _traced_mask_refusal(
         self, query: Query, exc: BackendUnavailable
@@ -692,7 +697,7 @@ class StatisticalDatabase:
         inside the <10% enabled-overhead benchmark gate.
         """
         if not tele.enabled():
-            return self._planner.decide(query, mask)
+            return self._planner.decide(query, mask, self)
         depth = len(self.history)
         answer = None
         plan_stats: dict = {}
@@ -706,7 +711,7 @@ class StatisticalDatabase:
                                           answer, plan_stats, session,
                                           trace_id)
             )
-            answer = self._planner.decide(query, mask)
+            answer = self._planner.decide(query, mask, self)
             # Captured eagerly (the deferred closure may render much
             # later, after other queries overwrote the planner state).
             plan_stats["plan_cached"] = self._planner.last_cached
@@ -716,10 +721,11 @@ class StatisticalDatabase:
         return answer
 
     def explain(self, query: Query | str) -> str:
-        """Render *query*'s plan pre/post optimization without running it."""
+        """The checks and transforms the stack runs on *query*, in order,
+        without running it."""
         if isinstance(query, str):
             query = parse_query(query)
-        return self._planner.explain(query)
+        return self._planner.explain(query, self.policies)
 
     def true_answer(self, query: Query | str) -> float:
         """Evaluate without protection (test/bench oracle only)."""

@@ -113,10 +113,10 @@ class CrossShardAuditView:
 class CrossShardAuditPolicy(ProtectionPolicy):
     """Per-shard adapter delegating review/transform to the shared view.
 
-    Installed last in each shard's policy stack.  Like every policy it
-    runs as one ``PolicyCheck`` node of the shard's plan, whose
-    ``review`` delegates to the shared view.  Refusal reasons surface as
-    ``"cross-shard-audit: <shared policy>: <why>"``.
+    Installed last in each shard's policy stack, where the shard's
+    planner runs it as one check and one transform: its ``review`` and
+    ``transform`` delegate to the shared view.  Refusal reasons surface
+    as ``"cross-shard-audit: <shared policy>: <why>"``.
     """
 
     name = "cross-shard-audit"

@@ -93,9 +93,9 @@ def render_metrics(snapshot: dict) -> str:
     """The operational half: counters, gauges, histogram summaries.
 
     Counter pairs named ``<base>_hits`` / ``<base>_misses`` (the mask
-    cache and the query-plan cache) get a derived ``<base>_hit_rate``
-    row right after the pair, so cache efficiency reads off the
-    dashboard directly instead of needing mental division.
+    cache and the query planner's stack memo) get a derived
+    ``<base>_hit_rate`` row right after the pair, so cache efficiency
+    reads off the dashboard directly instead of needing mental division.
     """
     lines = ["operational metrics"]
     counters = snapshot.get("counters", {})

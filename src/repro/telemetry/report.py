@@ -132,13 +132,15 @@ def slowest_spans(spans: list[dict], n: int = 10) -> list[dict]:
 def cache_efficiency(spans: list[dict]) -> dict:
     """Mask-cache / plan-cache efficiency reconstructed from query spans.
 
-    Every ``qdb.query`` span carries ``cache_hit`` (predicate mask cache);
-    plan-compiled queries additionally carry ``plan_cached`` (whether the
-    compiled plan came from the plan cache).  Returns ``{"mask_cache":
-    {...}, "plan_cache": {...}}`` where each entry holds ``hits``,
-    ``misses`` and ``hit_rate`` (0.0 when the cache saw no traffic).
-    ``plan_cache`` covers only spans that recorded ``plan_cached`` — a
-    pre-plan trace yields zeros there, not an error.
+    Every ``qdb.query`` span carries ``cache_hit`` (predicate mask cache)
+    and ``plan_cached``: whether the query planner found its memo of the
+    policy stack current.  A miss is a decision on a new stack, so a
+    session reads one miss per engine and then hits, whatever its
+    queries.  Returns ``{"mask_cache": {...}, "plan_cache": {...}}``
+    where each entry holds ``hits``, ``misses`` and ``hit_rate`` (0.0
+    when the cache saw no traffic).  ``plan_cache`` covers only spans
+    that recorded ``plan_cached`` — an older trace without it yields
+    zeros there, not an error.
     """
     mask_hits = mask_misses = plan_hits = plan_misses = 0
     for span in spans:

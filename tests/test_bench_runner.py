@@ -69,20 +69,31 @@ def test_every_baseline_names_a_kernel():
     assert set(BASELINES) <= kernel_names
 
 
+def _speedup_keys():
+    """Every speedup key the runner records."""
+    return (
+        {f"{fast}_vs_seed" for fast, _ in runner.SPEEDUP_PAIRS}
+        | {f"{fast}_vs_uint8" for fast, _ in runner.UINT8_PAIRS}
+    )
+
+
 def test_every_speedup_pair_names_kernels_with_minimums():
     kernel_names = {k.name for k in runner.KERNELS}
     for fast, ref in runner.SPEEDUP_PAIRS + runner.UINT8_PAIRS:
         assert {fast, ref} <= kernel_names
-    for fast, ref, _suffix in runner.PLAN_PAIRS:
-        assert {fast, ref} <= kernel_names
     from benchmarks.baselines import MIN_SPEEDUPS
-    recorded_keys = (
-        {f"{fast}_vs_seed" for fast, _ in runner.SPEEDUP_PAIRS}
-        | {f"{fast}_vs_uint8" for fast, _ in runner.UINT8_PAIRS}
-        | {f"{fast}_vs_{suffix}" for fast, _, suffix in runner.PLAN_PAIRS}
-    )
     # Every gate guards a speedup the runner actually records.
-    assert set(MIN_SPEEDUPS) <= recorded_keys
+    assert set(MIN_SPEEDUPS) <= _speedup_keys()
+
+
+def test_committed_record_holds_only_what_the_runner_times():
+    """BENCH_hotpaths.json names no deleted kernel, speedup or overhead."""
+    record = json.loads(runner.DEFAULT_OUTPUT.read_text())
+    assert set(record["kernels"]) <= {k.name for k in runner.KERNELS}
+    assert set(record["speedups"]) <= _speedup_keys()
+    assert set(record["overheads"]) <= {
+        f"{wrapped}_vs_bare" for wrapped, _ in runner.OVERHEAD_PAIRS
+    }
 
 
 def test_list_prints_registered_kernels(capsys):

@@ -11,7 +11,6 @@ from repro.pir import (
     MatrixCPIR,
     PrivateAggregateIndex,
 )
-from repro.plan import FusedPirFetch, PirFetch, optimize
 
 
 class TestLinearCPIR:
@@ -128,15 +127,13 @@ def _section3_index():
 
 def _single_fetch_query(index, ranges, rng=0):
     """The dedicated single-predicate path ``query`` ran before it became
-    a batch of one, kept verbatim as the reference."""
-    plan = optimize(index.compile_plan([ranges]))
-    (fetch,) = (
-        n for n in plan.nodes if isinstance(n, (PirFetch, FusedPirFetch))
-    )
-    raws = index._pir.retrieve_batch(list(fetch.blocks), rng)
-    index.cells_fetched += len(fetch.blocks)
-    index.blocks_fetched += len(fetch.blocks)
-    return index._sum_cells(raws, range(len(fetch.blocks)))
+    a batch of one: one ``retrieve_batch`` over the predicate's cells in
+    scan order, kept as the reference."""
+    cells = index._cells_for_ranges(ranges)
+    raws = index._pir.retrieve_batch(cells, rng)
+    index.cells_fetched += len(cells)
+    index.blocks_fetched += len(cells)
+    return index._sum_cells(raws, range(len(cells)))
 
 
 def _observed(index, result):
@@ -181,3 +178,29 @@ class TestQueryIsABatchOfOne:
         assert index.cells_fetched == sequential.cells_fetched
         assert index.blocks_fetched < index.cells_fetched
         assert index.query_batch([]) == []
+
+
+class TestBatchCells:
+    def test_shared_cells_are_fetched_once_in_first_occurrence_order(self):
+        # 3 x 3 grid, cell = height bin * 3 + weight bin: the first
+        # predicate is cell 2, the second the whole height-bin-0 row.
+        cells, routes = _section3_index().batch_cells([
+            {"height": (0, 165), "weight": (105, 1000)},
+            {"height": (0, 165)},
+        ])
+        assert cells == [2, 0, 1]
+        assert routes == [[0], [1, 2, 0]]
+
+    def test_a_batch_of_one_fetches_its_cells_in_scan_order(self):
+        index = _section3_index()
+        for ranges in TestQueryIsABatchOfOne.RANGE_SETS:
+            cells, routes = index.batch_cells([ranges])
+            assert cells == index._cells_for_ranges(ranges)
+            assert routes == [list(range(len(cells)))]
+
+    def test_an_unknown_column_fails_before_any_fetch(self):
+        index = _section3_index()
+        with pytest.raises(KeyError, match="non-grid"):
+            index.query_batch([{"height": (0, 165)}, {"age": (0, 100)}])
+        assert index.server_observations() is None
+        assert (index.cells_fetched, index.blocks_fetched) == (0, 0)

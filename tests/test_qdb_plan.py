@@ -1,12 +1,18 @@
-"""The query-plan layer: IR, optimizer passes, plan cache, word stores.
+"""The query planner and its supporting pieces.
 
-Unit coverage for :mod:`repro.plan` and its supporting pieces — plan
-rendering, pass-by-pass optimizer behaviour (pruning, PIR coalescing),
-plan-cache keying, the ``WordLogStore`` tier backing out-of-core packed
-histories, loud environment-variable validation, and the ``repro qdb
-explain`` CLI.  Decision equivalence against the seed replicas lives in
+Unit coverage for :mod:`repro.plan` — the stack's check and transform
+lists, the per-engine stack memo and what the planner keeps — plus the
+``WordLogStore`` tier backing out-of-core packed histories, loud
+environment-variable validation, and the ``repro qdb explain`` CLI.
+Decision equivalence against the seed replicas lives in
 ``test_qdb_plan_equivalence.py``.
 """
+
+import gc
+import os
+import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,91 +20,49 @@ import pytest
 from repro.cli import main
 from repro.data import Dataset, patients
 from repro.kernels import MemmapWordLog, RamWordLog, words_per_bits
-from repro.plan import (
-    FusedPirFetch,
-    PirFetch,
-    Plan,
-    PolicyCheck,
-    QueryPlanner,
-    ScanMask,
-    Transform,
-    coalesce_pir_fetches,
-    compile_query,
-    optimize,
-    plan_key,
-    policy_signature,
-)
 from repro.qdb import (
-    Aggregate,
-    Comparison,
     NoisePerturbation,
     OverlapControl,
     ProtectionPolicy,
-    Query,
     QueryHistory,
     QuerySetSizeControl,
     StatisticalDatabase,
     SumAuditPolicy,
 )
 
-QUERY = Query(Aggregate.SUM, "blood_pressure", Comparison("height", ">", 170.0))
+QUERY = "SELECT SUM(blood_pressure) WHERE height > 170"
 
 
-class TestCompiler:
-    def test_unoptimized_plan_spells_out_the_pipeline(self):
-        policies = [QuerySetSizeControl(5), SumAuditPolicy()]
-        plan = compile_query(QUERY, policies)
-        kinds = [type(n).__name__ for n in plan.nodes]
-        assert kinds == [
-            "ScanMask", "PolicyCheck", "PolicyCheck", "Evaluate",
-            "Transform", "Transform", "AnswerSink", "RefuseSink",
-        ]
-        assert plan.nodes[0].predicate == "height > 170.0"
-        assert plan.passes == ()
+def listed(text):
+    """The stack indices an explain text lists as (checks, transforms)."""
+    checks, _, transforms = text.partition("\ntransforms")
 
-    def test_plan_key_normalizes_query_structure(self):
-        policies = [QuerySetSizeControl(5)]
-        same = Query(Aggregate.SUM, "blood_pressure",
-                     Comparison("height", ">", 170.0))
-        assert plan_key(QUERY, policies) == plan_key(same, policies)
-        other_agg = Query(Aggregate.AVG, "blood_pressure", QUERY.predicate)
-        assert plan_key(QUERY, policies) != plan_key(other_agg, policies)
-        assert plan_key(QUERY, policies) != plan_key(
-            QUERY, [QuerySetSizeControl(6)]
-        )
+    def indices(block):
+        return [int(i) for i in re.findall(r"^  \[(\d+)\]", block, re.M)]
 
-    def test_policy_signature_is_type_and_name(self):
-        sig = policy_signature(
-            [QuerySetSizeControl(7), OverlapControl(9), SumAuditPolicy()]
-        )
-        assert sig == (
-            (QuerySetSizeControl, "size-control(k=7)"),
-            (OverlapControl, "overlap-control(r=9)"),
-            (SumAuditPolicy, "sum-audit"),
-        )
+    return indices(checks), indices(transforms)
 
 
-class TestOptimizerPasses:
-    def test_prune_drops_noop_reviews_and_transforms(self):
+class TestStackLists:
+    def test_noop_reviews_and_transforms_are_left_out(self):
         # NoisePerturbation reviews nothing; QuerySetSizeControl
-        # transforms nothing — both no-op nodes must disappear.
-        policies = [QuerySetSizeControl(5), NoisePerturbation(1.0)]
-        plan = optimize(compile_query(QUERY, policies), policies)
-        checks = [n for n in plan.nodes if isinstance(n, PolicyCheck)]
-        transforms = [n for n in plan.nodes if isinstance(n, Transform)]
-        assert [c.index for c in checks] == [0]
-        assert [t.index for t in transforms] == [1]
-        assert "prune-noop-nodes" in plan.passes
+        # transforms nothing — neither base no-op is run.
+        db = StatisticalDatabase(
+            patients(80, seed=0),
+            [QuerySetSizeControl(5), NoisePerturbation(1.0)],
+        )
+        assert listed(db.explain(QUERY)) == ([0], [1])
 
     def test_every_audit_policy_keeps_its_own_check(self):
-        # Audit checks are never rewritten: each runs as its policy's
-        # own review, in stack order, after pruning drops the no-ops.
-        policies = [QuerySetSizeControl(5), NoisePerturbation(1.0),
-                    OverlapControl(40), SumAuditPolicy()]
-        plan = optimize(compile_query(QUERY, policies), policies)
-        checks = [n for n in plan.nodes if isinstance(n, PolicyCheck)]
-        assert [c.index for c in checks] == [0, 2, 3]
-        assert plan.passes == ("prune-noop-nodes",)
+        # Each audit check runs as its policy's own review, in stack
+        # order; only the no-op reviews are left out.
+        db = StatisticalDatabase(
+            patients(80, seed=0),
+            [QuerySetSizeControl(5), NoisePerturbation(1.0),
+             OverlapControl(40), SumAuditPolicy()],
+        )
+        checks, _ = listed(db.explain(QUERY))
+        assert checks == [0, 2, 3]
 
     def test_a_policy_subclass_runs_its_own_review(self):
         # No check is decided by type: a size-control subclass that
@@ -133,52 +97,19 @@ class TestOptimizerPasses:
         assert calls == ["a", "b"]
         assert [entry.answered for entry in db.history] == [False]
 
-    def test_coalesce_dedupes_blocks_and_preserves_routing(self):
-        nodes = (
-            PirFetch((3, 1, 4), source="a"),
-            PirFetch((1, 5), source="b"),
-        )
-        (fused,) = coalesce_pir_fetches(nodes)
-        assert fused.blocks == (3, 1, 4, 5)  # first-occurrence order
-        assert fused.requested == 5
-        assert fused.routing == ((0, 1, 2), (1, 3))
-
-    def test_single_fetch_is_left_alone(self):
-        nodes = (PirFetch((3, 1, 4)),)
-        assert coalesce_pir_fetches(nodes) is nodes
-
-    def test_only_changing_passes_are_recorded(self):
-        policies = [QuerySetSizeControl(5)]
-        plan = optimize(compile_query(QUERY, policies), policies)
-        # size-only: pruning removes the no-op transform; nothing
-        # coalesces.
-        assert plan.passes == ("prune-noop-nodes",)
-
-
-class TestPlanRendering:
-    def test_render_numbers_nodes_and_lists_passes(self):
-        plan = Plan("demo", (ScanMask("height > 170.0"),),
-                    passes=("prune-noop-nodes",))
-        text = plan.render()
-        assert text.startswith("plan: demo\npasses: prune-noop-nodes")
-        assert "  1. ScanMask" in text
-
-    def test_fused_pir_describe_counts_the_dedupe(self):
-        node = FusedPirFetch((3, 1, 4, 5), requested=5,
-                             routing=((0, 1, 2), (1, 3)))
-        assert "4 unique blocks for 5 requested" in node.describe()
-        assert "(1 deduped)" in node.describe()
-
-    def test_db_explain_shows_before_and_after(self):
+    def test_db_explain_lists_checks_and_transforms(self):
         db = StatisticalDatabase(
             patients(80, seed=0),
-            [QuerySetSizeControl(5), OverlapControl(40), SumAuditPolicy()],
+            [QuerySetSizeControl(5), OverlapControl(40), SumAuditPolicy(),
+             NoisePerturbation(1.0)],
         )
-        text = db.explain("SELECT SUM(blood_pressure) WHERE height > 170")
-        assert "== before optimization ==" in text
-        assert "== after optimization" in text
-        assert "PolicyCheck   [1] overlap-control(r=40)" in text
-        assert "cache key:" in text
+        text = db.explain(QUERY)
+        assert text.startswith(
+            "query: SELECT SUM(blood_pressure) WHERE height > 170.0\n"
+        )
+        assert "  [1] overlap-control(r=40) (OverlapControl)" in text
+        assert listed(text) == ([0, 1, 2], [2, 3])
+        assert db.queries_asked == 0  # explaining decides nothing
 
 
 class TestPlanCache:
@@ -191,9 +122,9 @@ class TestPlanCache:
         db.ask(q)
         db.ask(q)
         assert (db.plan_cache_hits, db.plan_cache_misses) == (2, 1)
-        # A different aggregate over the same predicate is a new shape.
+        # A different aggregate on the same stack finds the memo current.
         db.ask("SELECT SUM(blood_pressure) WHERE height > 170")
-        assert db.plan_cache_misses == 2
+        assert db.plan_cache_misses == 1
 
     def test_swapping_the_policy_stack_changes_the_key(self):
         db = StatisticalDatabase(patients(100, seed=1),
@@ -205,20 +136,20 @@ class TestPlanCache:
         assert db.plan_cache_misses == 2
 
     def test_an_equal_new_stack_reuses_the_cached_plan(self):
-        """The key is structural: fresh policies of the same types and
-        names hit the cache, and the plan runs the new objects."""
+        """Fresh policies of the same types and names are a new stack
+        (a memo miss), and the decision runs the new objects."""
         db = StatisticalDatabase(patients(100, seed=1),
                                  [QuerySetSizeControl(5)])
         q = "SELECT COUNT(*) WHERE height > 170"
         assert not db.ask(q).refused
         db.policies = [QuerySetSizeControl(5)]
         assert not db.ask(q).refused
-        assert (db.plan_cache_hits, db.plan_cache_misses) == (1, 1)
+        assert (db.plan_cache_hits, db.plan_cache_misses) == (0, 2)
         db.policies[0].k = 100  # in place: the name, so the key, stays
         assert db.ask(q).reason.startswith(
             "size-control(k=5): query set too small"
         )
-        assert (db.plan_cache_hits, db.plan_cache_misses) == (2, 1)
+        assert (db.plan_cache_hits, db.plan_cache_misses) == (1, 2)
 
     def test_a_new_policy_never_runs_a_freed_policys_plan(self):
         """A policy that reuses a freed policy's ``id`` still makes a
@@ -258,15 +189,81 @@ class TestPlanCache:
         db.policies = [refusing(0.0)]
         assert db.ask(q).reason == "perturbation(sd=0): always refused"
 
-    def test_planner_without_cache_always_compiles(self):
-        db = StatisticalDatabase(patients(100, seed=1),
-                                 [QuerySetSizeControl(5)])
-        planner = QueryPlanner(db, cache=False)
-        q = Query(Aggregate.COUNT, None, Comparison("height", ">", 170.0))
-        p1, _ = planner.plan_for(q)
-        p2, _ = planner.plan_for(q)
-        assert p1 is not p2
-        assert planner.cache is None
+    def test_a_policy_appended_in_place_runs(self):
+        """Appending to the engine's own list is a new stack too."""
+        data = Dataset({"x": np.arange(100.0)})
+        db = StatisticalDatabase(data, [QuerySetSizeControl(3)], seed=0)
+        q = "SELECT SUM(x) WHERE x < 50"
+        assert db.ask(q).value == 1225.0
+        db.policies.append(NoisePerturbation(1000.0))
+        assert db.ask(q).value != 1225.0  # the noise ran
+        assert (db.plan_cache_hits, db.plan_cache_misses) == (0, 2)
+
+
+def fresh_queries(population, n, seed=0):
+    """Fresh three-term range conjunctions, built the way the
+    ``query_fresh`` benchmark workload builds its script."""
+    rng = np.random.default_rng([seed, 2])
+    bounds = {
+        column: np.quantile(population.column(column), [0.02, 0.98])
+        for column in ("height", "weight", "age")
+    }
+    aggregates = ("COUNT(*)", "SUM(blood_pressure)", "AVG(blood_pressure)")
+    queries = []
+    for _ in range(n):
+        terms = []
+        for column, (low, high) in bounds.items():
+            sign = "<" if rng.random() < 0.5 else ">"
+            terms.append(f"{column} {sign} {rng.uniform(low, high):.1f}")
+        rng.integers(32)  # the workload's session draw
+        aggregate = aggregates[int(rng.integers(len(aggregates)))]
+        queries.append(f"SELECT {aggregate} WHERE {' AND '.join(terms)}")
+    return queries
+
+
+class TestWhatThePlannerKeeps:
+    def test_a_dropped_engine_is_freed_by_reference_counting(self):
+        """The planner holds no reference to its engine, so no cycle
+        keeps a dropped engine's audit state alive until a collection."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            db = StatisticalDatabase(
+                patients(100, seed=1),
+                [QuerySetSizeControl(5), OverlapControl(40),
+                 SumAuditPolicy()],
+            )
+            db.ask("SELECT COUNT(*) WHERE height > 170")
+            db.ask_batch(["SELECT SUM(blood_pressure) WHERE weight < 80",
+                          "SELECT AVG(blood_pressure) WHERE age > 40"])
+            assert db.queries_asked == 3
+            engine = weakref.ref(db)
+            del db
+            assert engine() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_fresh_queries_leave_nothing_in_the_planner(self):
+        """The planner keeps one memo per stack, not an entry per query
+        shape."""
+        population = patients(5000, seed=0)
+        db = StatisticalDatabase(population, [QuerySetSizeControl(5)])
+        queries = fresh_queries(population, 501)
+        db.ask(queries[0])  # first-call paths outside the trace
+        tracemalloc.start()
+        try:
+            answered = len(db.ask_batch(queries[1:]))
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert answered == 500 and db.plan_cache_misses == 1
+        planner = snapshot.filter_traces([tracemalloc.Filter(
+            True, os.path.join("*", "repro", "plan", "*")
+        )])
+        kept = sum(stat.size for stat in planner.statistics("filename"))
+        assert kept <= 4096, f"{kept} bytes kept in repro/plan/"
 
 
 class TestWordLogStores:
@@ -349,26 +346,24 @@ class TestEnvironmentValidation:
 
 
 class TestExplainCli:
-    def test_explain_renders_both_plans(self, capsys):
+    def test_explain_lists_the_stack(self, capsys):
         assert main([
             "qdb", "explain",
             "SELECT SUM(blood_pressure) WHERE height > 170",
             "--records", "80",
         ]) == 0
         out = capsys.readouterr().out
-        assert "== before optimization ==" in out
-        assert "PolicyCheck   [2] sum-audit" in out
-        assert "passes:" in out
-        assert "cache key:" in out
+        assert "  [2] sum-audit (SumAuditPolicy)" in out
+        assert listed(out) == ([0, 1, 2], [2])
 
-    def test_explain_pir_demo_shows_coalescing(self, capsys):
+    def test_explain_pir_demo_counts_cells(self, capsys):
         assert main([
             "qdb", "explain", "SELECT COUNT(*) WHERE height > 170",
             "--records", "80", "--pir-demo",
         ]) == 0
         out = capsys.readouterr().out
-        assert "FusedPirFetch" in out
-        assert "retrieve_batch" in out
+        assert "cells requested: 4\n" in out
+        assert "unique cells fetched: 3, one retrieve_batch round" in out
 
     def test_custom_policy_spec(self, capsys):
         assert main([
@@ -378,12 +373,19 @@ class TestExplainCli:
         out = capsys.readouterr().out
         assert "overlap-control(r=30)" in out
 
-    def test_unknown_policy_token_exits_loudly(self):
-        with pytest.raises(SystemExit, match="unknown policy"):
+    @pytest.mark.parametrize("token, message", [
+        ("sizes:5", "unknown policy 'sizes'"),
+        ("size:abc", "bad policy 'size:abc'"),
+        ("overlap:1.5", "bad policy 'overlap:1.5'"),
+        ("noise:-2", "bad policy 'noise:-2'"),
+    ])
+    def test_unknown_policy_token_exits_loudly(self, token, message):
+        with pytest.raises(SystemExit, match=re.escape(message)) as exit_:
             main([
                 "qdb", "explain", "SELECT COUNT(*)",
-                "--policies", "sizes:5",
+                "--policies", token,
             ])
+        assert "\n" not in str(exit_.value.code)
 
     def test_unparseable_query_is_an_error(self, capsys):
         assert main(["qdb", "explain", "SELEC COUNT(*)"]) == 1
